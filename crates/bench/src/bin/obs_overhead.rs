@@ -3,14 +3,16 @@
 //! The `loki-obs` instruments (atomic counters + fixed-bucket histograms)
 //! are designed to cost a handful of atomic ops per submission. This
 //! microbench drives `AppState::submit` directly — no network, no WAL —
-//! across three variants and reports median overheads:
+//! across four variants and reports median overheads:
 //!
 //! * **OBS-1**: metrics disabled vs enabled (instruments + ε-audit).
-//! * **OBS-2**: instrumented vs instrumented-and-traced with recording
-//!   off (`TraceConfig::disabled()`): every submission starts a trace,
-//!   installs the thread-local context and finishes the trace — the
-//!   per-request work `mount()` does — but sampling is off, so no span
-//!   buffer is ever allocated.
+//! * **OBS-2**: instrumented vs instrumented-and-traced, in two postures.
+//!   Every traced submission starts a trace, installs the thread-local
+//!   context and finishes the trace — the per-request work `mount()`
+//!   does. With recording off (`TraceConfig::disabled()`) no span buffer
+//!   exists. With the server's own `TraceConfig::default()` every trace
+//!   records its `apply` and `ack` spans into the thread's reused buffer,
+//!   and the 1-in-16 sampled ones are retained.
 //!
 //! The acceptance bar is <5% for each step on this path.
 
@@ -100,23 +102,28 @@ fn main() {
     );
 
     let disabled = Tracer::new(0xbe6c, TraceConfig::disabled());
+    let server_default = Tracer::new(0xbe6c, TraceConfig::default());
 
     // Warm-up interleaved so no variant benefits from cache state.
     let mut off = Vec::with_capacity(TRIALS);
     let mut on = Vec::with_capacity(TRIALS);
     let mut traced = Vec::with_capacity(TRIALS);
+    let mut recorded = Vec::with_capacity(TRIALS);
     for _ in 0..TRIALS {
         off.push(run_batch(false, None));
         on.push(run_batch(true, None));
         traced.push(run_batch(true, Some(&disabled)));
+        recorded.push(run_batch(true, Some(&server_default)));
     }
     let off_med = median(&mut off);
     let on_med = median(&mut on);
     let traced_med = median(&mut traced);
+    let recorded_med = median(&mut recorded);
 
     let per_off = off_med.as_nanos() as f64 / USERS as f64;
     let per_on = on_med.as_nanos() as f64 / USERS as f64;
     let per_traced = traced_med.as_nanos() as f64 / USERS as f64;
+    let per_recorded = recorded_med.as_nanos() as f64 / USERS as f64;
 
     let mut t = Table::new(&["variant", "submits", "median batch ms", "ns/submit"]);
     t.row(&[
@@ -137,6 +144,12 @@ fn main() {
         f(traced_med.as_secs_f64() * 1e3),
         f(per_traced),
     ]);
+    t.row(&[
+        "traced (server default)".into(),
+        n(USERS),
+        f(recorded_med.as_secs_f64() * 1e3),
+        f(per_recorded),
+    ]);
     println!("{}", t.render());
     assert!(
         disabled.is_empty(),
@@ -146,5 +159,9 @@ fn main() {
     verdict(
         "OBS-2 tracing overhead (sampling off, vs instrumented)",
         (per_traced / per_on - 1.0) * 100.0,
+    );
+    verdict(
+        "OBS-2 tracing overhead (server default, vs instrumented)",
+        (per_recorded / per_on - 1.0) * 100.0,
     );
 }

@@ -94,8 +94,7 @@ impl ReleaseKind {
 #[derive(Debug, Clone)]
 pub struct UserLedger {
     entries: Vec<LedgerEntry>,
-    rdp: RdpAccountant,
-    basic: PrivacyLoss,
+    totals: Totals,
 }
 
 impl Default for UserLedger {
@@ -109,8 +108,7 @@ impl UserLedger {
     pub fn new() -> UserLedger {
         UserLedger {
             entries: Vec::new(),
-            rdp: RdpAccountant::new(),
-            basic: PrivacyLoss::ZERO,
+            totals: Totals::new(),
         }
     }
 
@@ -124,6 +122,60 @@ impl UserLedger {
     /// ε at [`crate::DEFAULT_DELTA`]; the RDP accountant tracks the exact
     /// divergence for tight composition.
     pub fn record(&mut self, tag: impl Into<String>, kind: ReleaseKind) {
+        self.totals.add(kind);
+        self.entries.push(LedgerEntry {
+            tag: tag.into(),
+            kind,
+        });
+    }
+
+    /// Number of recorded releases.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the ledger is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The recorded entries, oldest first.
+    pub fn entries(&self) -> &[LedgerEntry] {
+        &self.entries
+    }
+
+    /// Conservative cumulative loss by basic composition.
+    pub fn basic_loss(&self) -> PrivacyLoss {
+        self.totals.basic
+    }
+
+    /// Tight cumulative loss via the RDP accountant, stated at `delta`.
+    /// For an empty ledger this is exactly zero (no conversion overhead).
+    pub fn tight_loss(&self, delta: Delta) -> PrivacyLoss {
+        self.totals.tight_loss(self.is_empty(), delta)
+    }
+}
+
+/// What a ledger's loss is computed from, apart from whether it holds any
+/// release: the RDP accountant and the basic-composition total. A copy is
+/// a `[f64; 20]`, a flag and one loss, so [`Accountant::loss_after`]
+/// probes a would-be charge on a copy instead of cloning the entries.
+#[derive(Debug, Clone)]
+struct Totals {
+    rdp: RdpAccountant,
+    basic: PrivacyLoss,
+}
+
+impl Totals {
+    fn new() -> Totals {
+        Totals {
+            rdp: RdpAccountant::new(),
+            basic: PrivacyLoss::ZERO,
+        }
+    }
+
+    /// Folds in one release, as [`UserLedger::record`] describes.
+    fn add(&mut self, kind: ReleaseKind) {
         match kind {
             ReleaseKind::Gaussian { sigma, sensitivity } => {
                 let sens = Sensitivity::new(sensitivity);
@@ -151,36 +203,12 @@ impl UserLedger {
                 self.basic = self.basic.compose(PrivacyLoss::unbounded());
             }
         }
-        self.entries.push(LedgerEntry {
-            tag: tag.into(),
-            kind,
-        });
     }
 
-    /// Number of recorded releases.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the ledger is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The recorded entries, oldest first.
-    pub fn entries(&self) -> &[LedgerEntry] {
-        &self.entries
-    }
-
-    /// Conservative cumulative loss by basic composition.
-    pub fn basic_loss(&self) -> PrivacyLoss {
-        self.basic
-    }
-
-    /// Tight cumulative loss via the RDP accountant, stated at `delta`.
-    /// For an empty ledger this is exactly zero (no conversion overhead).
-    pub fn tight_loss(&self, delta: Delta) -> PrivacyLoss {
-        if self.entries.is_empty() {
+    /// Tight cumulative loss, stated at `delta`: exactly zero when
+    /// nothing is recorded (no conversion overhead).
+    fn tight_loss(&self, empty: bool, delta: Delta) -> PrivacyLoss {
+        if empty {
             return PrivacyLoss::ZERO;
         }
         let rdp = self.rdp.to_dp(delta);
@@ -262,6 +290,33 @@ impl Accountant {
             .get(user)
             .map(|l| l.tight_loss(delta))
             .unwrap_or(PrivacyLoss::ZERO)
+    }
+
+    /// The tight loss `user` would have after also recording `releases`,
+    /// without recording them: the same number, bit for bit, as recording
+    /// them on a clone of the ledger and reading
+    /// [`UserLedger::tight_loss`]. Only the ledger's totals and emptiness
+    /// are copied under the read lock, not its entries.
+    pub fn loss_after(
+        &self,
+        user: &str,
+        releases: impl IntoIterator<Item = ReleaseKind>,
+        delta: Delta,
+    ) -> PrivacyLoss {
+        let (mut totals, mut empty) = self
+            .shard_for(user)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(user)
+            .map_or_else(
+                || (Totals::new(), true),
+                |l| (l.totals.clone(), l.is_empty()),
+            );
+        for kind in releases {
+            totals.add(kind);
+            empty = false;
+        }
+        totals.tight_loss(empty, delta)
     }
 
     /// Number of releases recorded for one user.
@@ -452,6 +507,54 @@ mod tests {
         l.record("s/q", ReleaseKind::Pure { epsilon: 0.5 });
         assert!((l.basic_loss().epsilon.value() - 0.5).abs() < 1e-12);
         assert_eq!(l.basic_loss().delta, Delta::ZERO);
+    }
+
+    #[test]
+    fn loss_after_equals_recording_on_a_cloned_ledger() {
+        let gauss = |sigma, sensitivity| ReleaseKind::Gaussian { sigma, sensitivity };
+        let pure = |epsilon| ReleaseKind::Pure { epsilon };
+        let sets: Vec<Vec<ReleaseKind>> = vec![
+            vec![],
+            vec![gauss(1.0, 4.0)],
+            vec![gauss(2.0, 4.0), gauss(0.5, 1.0)],
+            vec![pure(0.5)],
+            vec![pure(0.0)],
+            vec![gauss(8.0, 4.0), pure(1.5)],
+            vec![ReleaseKind::Raw],
+            vec![pure(0.25), ReleaseKind::Raw, gauss(1.0, 2.0)],
+            vec![gauss(16.0, 4.0); 5],
+        ];
+        let delta = Delta::new(crate::DEFAULT_DELTA);
+        for (h, history) in sets.iter().enumerate() {
+            // An empty history leaves the user without a ledger.
+            let acc = Accountant::new();
+            for kind in history {
+                acc.record("u", "s/q", *kind);
+            }
+            for (r, releases) in sets.iter().enumerate() {
+                let mut scratch = acc.ledger_of("u").unwrap_or_default();
+                for kind in releases {
+                    scratch.record("s/q", *kind);
+                }
+                let want = scratch.tight_loss(delta);
+                let got = acc.loss_after("u", releases.iter().copied(), delta);
+                assert_eq!(
+                    got.epsilon.value().to_bits(),
+                    want.epsilon.value().to_bits(),
+                    "ε of history {h} + releases {r}: {got:?} vs {want:?}"
+                );
+                assert_eq!(
+                    got.delta.value().to_bits(),
+                    want.delta.value().to_bits(),
+                    "δ of history {h} + releases {r}: {got:?} vs {want:?}"
+                );
+            }
+            assert_eq!(
+                acc.releases_of("u"),
+                history.len(),
+                "the probe records nothing"
+            );
+        }
     }
 
     #[test]

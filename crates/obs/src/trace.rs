@@ -26,11 +26,16 @@
 //! of copying every span tree under the store lock, and a trace a reader
 //! holds stays intact after the ring evicts it.
 //!
-//! **Cost discipline:** when sampling is off and no slow threshold is
-//! configured, a [`Trace`] carries no buffer at all (`inner` is `None`)
-//! — starting it, setting the thread-local, "recording" spans and
-//! finishing are all allocation-free. The id is still generated so every
-//! response can carry an `x-loki-trace-id` header.
+//! **Cost discipline:** a recording trace (sampled, or any trace once a
+//! slow threshold is set, as the server's default config has) reuses a
+//! per-thread buffer: [`Tracer::finish`] hands the buffer back to its
+//! thread once no context shares it, and the next [`Tracer::start`] there
+//! resets it. Span attributes are held inline ([`SpanAttrs`]), so
+//! recording a span allocates nothing either. Only a retained trace
+//! allocates, once, when its spans are frozen. When sampling is off and no
+//! slow threshold is configured, a [`Trace`] carries no buffer at all
+//! (`inner` is `None`). The id is always generated so every response can
+//! carry an `x-loki-trace-id` header.
 //!
 //! **Privacy discipline:** span names are `&'static str` and span
 //! attributes are numeric (`u64`) by construction. There is no API to
@@ -39,7 +44,10 @@
 //! `loki-lint` sensitive-egress rule additionally keeps forbidden
 //! identifier names out of this module.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::fmt;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -60,9 +68,45 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The most attributes one span keeps: the `batch` span's `batch_id` and
+/// `batch_size`, the most any caller records.
+pub const MAX_SPAN_ATTRS: usize = 2;
+
+/// A span's numeric attributes, held inline: up to [`MAX_SPAN_ATTRS`]
+/// pairs, in the order they were attached. Derefs to the recorded pairs.
+#[derive(Clone, Copy, Default)]
+pub struct SpanAttrs {
+    len: usize,
+    pairs: [(&'static str, u64); MAX_SPAN_ATTRS],
+}
+
+impl SpanAttrs {
+    /// Appends `pair`, or drops it when [`MAX_SPAN_ATTRS`] are held.
+    fn push(&mut self, pair: (&'static str, u64)) {
+        if let Some(slot) = self.pairs.get_mut(self.len) {
+            *slot = pair;
+            self.len += 1;
+        }
+    }
+}
+
+impl Deref for SpanAttrs {
+    type Target = [(&'static str, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.pairs[..self.len]
+    }
+}
+
+impl fmt::Debug for SpanAttrs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One recorded span: name, tree position, start/end offsets (nanoseconds
-/// since the trace began) and numeric attributes.
-#[derive(Debug, Clone)]
+/// since the trace began) and numeric attributes. Holds no heap data.
+#[derive(Debug, Clone, Copy)]
 pub struct SpanRecord {
     /// Span id, unique within the trace.
     pub id: SpanId,
@@ -76,10 +120,10 @@ pub struct SpanRecord {
     pub end_ns: u64,
     /// Numeric attributes (e.g. `("batch_id", 7)`). Numeric on purpose:
     /// there is no way to smuggle an identifier string into a trace.
-    pub attrs: Vec<(&'static str, u64)>,
+    pub attrs: SpanAttrs,
 }
 
-/// Span slots reserved when a recording trace starts: a submit records
+/// Span slots reserved when a recording buffer is made: a submit records
 /// `enqueue`, `batch`, `fsync`, `apply` and `ack`, and one slot is spare,
 /// so the buffer is allocated once and never regrown on that path.
 const SPAN_BUFFER_CAPACITY: usize = 6;
@@ -93,13 +137,37 @@ struct TraceInner {
 }
 
 impl TraceInner {
-    fn new() -> TraceInner {
-        TraceInner {
+    /// A buffer for a new trace: this thread's spare, reset, or else a
+    /// fresh one.
+    fn take() -> Arc<TraceInner> {
+        if let Ok(Some(mut spare)) = SPARE.try_with(Cell::take) {
+            let unshared = Arc::get_mut(&mut spare);
+            debug_assert!(unshared.is_some(), "recycle keeps only unshared buffers");
+            if let Some(inner) = unshared {
+                inner.started = Instant::now();
+                *inner.next_span.get_mut() = ROOT_SPAN + 1;
+                // `clear` keeps the Vec's capacity: that is the reuse.
+                inner.spans.get_mut().unwrap_or_else(PoisonError::into_inner).clear();
+                return spare;
+            }
+        }
+        Arc::new(TraceInner {
             started: Instant::now(),
             // Span 1 is reserved for the root; children start at 2.
             next_span: AtomicU64::new(ROOT_SPAN + 1),
             spans: Mutex::new(Vec::with_capacity(SPAN_BUFFER_CAPACITY)),
+        })
+    }
+
+    /// Keeps `inner` as this thread's spare, unless a context still
+    /// shares it (a clone alive past `finish` keeps writing into its own
+    /// buffer, never into a later trace) or a thread panicked while
+    /// recording into it. Either way the buffer is dropped instead.
+    fn recycle(mut inner: Arc<TraceInner>) {
+        if Arc::get_mut(&mut inner).is_none() || inner.spans.is_poisoned() {
+            return;
         }
+        let _ = SPARE.try_with(|spare| spare.set(Some(inner)));
     }
 
     fn offset_ns(&self, at: Instant) -> u64 {
@@ -159,7 +227,7 @@ impl SpanContext {
             name,
             parent,
             start_ns,
-            attrs: Vec::new(),
+            attrs: SpanAttrs::default(),
             finished: false,
         }
     }
@@ -167,7 +235,8 @@ impl SpanContext {
     /// Records a complete span from explicit instants. This is the
     /// cross-thread API: offsets are computed against the *trace's* own
     /// epoch, so a committer thread can record spans for many different
-    /// traces in one batch. Returns the new span's id (0 if dropped).
+    /// traces in one batch. Keeps the first [`MAX_SPAN_ATTRS`] of `attrs`
+    /// and drops the rest. Returns the new span's id (0 if dropped).
     pub fn add_span_at(
         &self,
         name: &'static str,
@@ -178,13 +247,17 @@ impl SpanContext {
     ) -> SpanId {
         let Some(inner) = &self.inner else { return 0 };
         let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
+        let mut kept = SpanAttrs::default();
+        for &pair in attrs {
+            kept.push(pair);
+        }
         let record = SpanRecord {
             id,
             name,
             parent,
             start_ns: inner.offset_ns(start),
             end_ns: inner.offset_ns(end),
-            attrs: attrs.to_vec(),
+            attrs: kept,
         };
         inner.spans.lock().unwrap_or_else(PoisonError::into_inner).push(record);
         id
@@ -206,7 +279,7 @@ pub struct ActiveSpan {
     name: &'static str,
     parent: Option<SpanId>,
     start_ns: u64,
-    attrs: Vec<(&'static str, u64)>,
+    attrs: SpanAttrs,
     finished: bool,
 }
 
@@ -216,7 +289,8 @@ impl ActiveSpan {
         self.id
     }
 
-    /// Attaches a numeric attribute.
+    /// Attaches a numeric attribute. A span keeps the first
+    /// [`MAX_SPAN_ATTRS`] attached; later ones are dropped.
     pub fn attr(&mut self, key: &'static str, value: u64) {
         if self.ctx.inner.is_some() {
             self.attrs.push((key, value));
@@ -243,7 +317,7 @@ impl ActiveSpan {
             parent: self.parent,
             start_ns: self.start_ns,
             end_ns,
-            attrs: std::mem::take(&mut self.attrs),
+            attrs: self.attrs,
         });
     }
 }
@@ -357,8 +431,9 @@ impl Tracer {
         }
     }
 
-    /// Begins a trace. Allocates a recording buffer only if the trace
-    /// could possibly be retained (sampled, or a slow threshold is set).
+    /// Begins a trace. Records (into this thread's spare buffer, or a new
+    /// one) only if the trace could possibly be retained: sampled, or a
+    /// slow threshold is set.
     pub fn start(&self) -> Trace {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let id = splitmix64(self.seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -368,13 +443,15 @@ impl Tracer {
         Trace {
             id,
             sampled,
-            inner: record.then(|| Arc::new(TraceInner::new())),
+            inner: record.then(TraceInner::take),
         }
     }
 
     /// Ends a trace, deciding retention: kept if sampled, or if its
     /// duration crossed the slow threshold. The store is a bounded ring
-    /// — the oldest retained trace is evicted at capacity.
+    /// — the oldest retained trace is evicted at capacity. A retained
+    /// trace's spans are copied out once; the buffer then goes back to
+    /// this thread for the next [`Tracer::start`].
     pub fn finish(&self, trace: Trace) {
         let Some(inner) = trace.inner else { return };
         let duration = inner.started.elapsed();
@@ -382,21 +459,20 @@ impl Tracer {
             .config
             .slow_threshold
             .is_some_and(|t| duration >= t);
-        if !trace.sampled && !slow {
-            return;
+        if trace.sampled || slow {
+            let spans = Arc::from(&inner.spans.lock().unwrap_or_else(PoisonError::into_inner)[..]);
+            let mut store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
+            if store.len() >= self.config.capacity {
+                store.pop_front();
+            }
+            store.push_back(StoredTrace {
+                id: trace.id,
+                sampled: trace.sampled,
+                duration_ns: duration.as_nanos() as u64,
+                spans,
+            });
         }
-        let spans = std::mem::take(&mut *inner.spans.lock().unwrap_or_else(PoisonError::into_inner));
-        let spans = Arc::from(spans);
-        let mut store = self.store.lock().unwrap_or_else(PoisonError::into_inner);
-        if store.len() >= self.config.capacity {
-            store.pop_front();
-        }
-        store.push_back(StoredTrace {
-            id: trace.id,
-            sampled: trace.sampled,
-            duration_ns: duration.as_nanos() as u64,
-            spans,
-        });
+        TraceInner::recycle(inner);
     }
 
     /// Retained traces, oldest first (most recent last). Each entry shares
@@ -439,6 +515,9 @@ impl Tracer {
 thread_local! {
     static CURRENT: std::cell::RefCell<Option<SpanContext>> =
         const { std::cell::RefCell::new(None) };
+    /// The recording buffer [`Tracer::finish`] last handed back on this
+    /// thread, for the next [`Tracer::start`] to reuse.
+    static SPARE: Cell<Option<Arc<TraceInner>>> = const { Cell::new(None) };
 }
 
 /// Installs `ctx` as the current thread's trace context; the previous
@@ -534,7 +613,7 @@ mod tests {
         assert_eq!(apply.id, apply_id);
         assert_eq!(apply.parent, Some(ROOT_SPAN));
         assert!(apply.end_ns >= apply.start_ns);
-        assert_eq!(apply.attrs, vec![("stored", 5)]);
+        assert_eq!(*apply.attrs, [("stored", 5)]);
         let fsync = stored.spans.iter().find(|s| s.name == "fsync").unwrap();
         assert_eq!(fsync.parent, Some(batch), "fsync parents to the batch span");
     }
@@ -654,8 +733,8 @@ mod tests {
             assert_eq!(trace.spans.len(), 1, "torn entry: {trace:?}");
             assert_eq!(trace.spans[0].name, "apply");
             assert_eq!(
-                trace.spans[0].attrs,
-                vec![("tag", trace.id ^ 0xa5a5)],
+                *trace.spans[0].attrs,
+                [("tag", trace.id ^ 0xa5a5)],
                 "span belongs to a different trace: {trace:?}"
             );
             assert!(trace.spans[0].end_ns >= trace.spans[0].start_ns);
@@ -751,6 +830,28 @@ mod tests {
             assert_eq!(current().unwrap().trace_id(), outer.id());
         }
         assert!(current().is_none(), "guard restores the empty state");
+    }
+
+    #[test]
+    fn attrs_past_the_cap_are_dropped() {
+        let tracer = recording_tracer();
+        let trace = tracer.start();
+        let id = trace.id();
+        let ctx = trace.ctx();
+        let mut apply = ctx.start_child("apply");
+        apply.attr("a", 1);
+        apply.attr("b", 2);
+        apply.attr("c", 3);
+        apply.finish();
+        let t0 = Instant::now();
+        ctx.add_span_at("batch", Some(ROOT_SPAN), t0, t0, &[("x", 7), ("y", 8), ("z", 9)]);
+        tracer.finish(trace);
+
+        let stored = tracer.get(id).expect("trace retained");
+        assert_eq!(MAX_SPAN_ATTRS, 2);
+        assert_eq!(*stored.spans[0].attrs, [("a", 1), ("b", 2)], "attr keeps the first two");
+        assert_eq!(*stored.spans[1].attrs, [("x", 7), ("y", 8)], "add_span_at keeps the first two");
+        assert_eq!(format!("{:?}", stored.spans[1].attrs), r#"[("x", 7), ("y", 8)]"#);
     }
 
     #[test]

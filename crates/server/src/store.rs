@@ -982,7 +982,7 @@ impl AppState {
 
         // ε-audit bookkeeping (metrics enabled only): the running total
         // before the charge, and the marginal ε this release set would
-        // add — probed on a scratch copy of the ledger so the attempted
+        // add — probed on a copy of the ledger's totals so the attempted
         // and rejected-at-cap events can report it without charging.
         let budget = self.epsilon_budget();
         let trace_ctx = loki_obs::trace::current();
@@ -991,11 +991,11 @@ impl AppState {
             .then(|| self.user_loss(user));
         let audit = match (self.metrics.get(), &loss) {
             (Some(m), Some(before)) => {
-                let mut scratch = self.accountant.ledger_of(user).unwrap_or_default();
-                for (tag, kind) in releases {
-                    scratch.record(tag.clone(), *kind);
-                }
-                let after = scratch.tight_loss(Delta::new(loki_dp::DEFAULT_DELTA));
+                let after = self.accountant.loss_after(
+                    user,
+                    releases.iter().map(|(_, kind)| *kind),
+                    Delta::new(loki_dp::DEFAULT_DELTA),
+                );
                 let running_before = if before.is_finite() {
                     before.epsilon.value()
                 } else {

@@ -454,9 +454,13 @@ fn committer_loop(
                     h.ctx
                         .add_span_at("fsync", Some(b), fsync_started, batch_ended, &[]);
                 }
-                for req in batch {
+                for CommitRequest { done, trace, .. } in batch {
+                    // Let go of the trace handoff before waking its
+                    // writer: the writer's `Tracer::finish` then finds
+                    // the buffer unshared and reuses it.
+                    drop(trace);
                     depth.fetch_sub(1, Ordering::Relaxed);
-                    let _ = req.done.send(Ok(()));
+                    let _ = done.send(Ok(()));
                 }
                 if let Some(obs) = observer {
                     obs(&BatchEvent::Committed(BatchTiming {
@@ -490,12 +494,14 @@ fn fail_batch(
     observer: Option<&BatchObserver>,
 ) {
     let records = batch.len();
-    for req in batch {
-        if let Some(h) = &req.trace {
+    for CommitRequest { done, trace, .. } in batch {
+        // The handoff is dropped at the end of this block, before the
+        // wake, as on the committed path.
+        if let Some(h) = trace {
             h.ctx.add_span_at("enqueue", Some(ROOT_SPAN), h.enqueued, drained, &[]);
         }
         depth.fetch_sub(1, Ordering::Relaxed);
-        let _ = req.done.send(Err(err.clone()));
+        let _ = done.send(Err(err.clone()));
     }
     if let Some(obs) = observer {
         obs(&BatchEvent::Failed { records });

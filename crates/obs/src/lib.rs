@@ -25,7 +25,7 @@
 //!   index, joinable to traces by id.
 //! * [`Tsdb`] — a fixed-memory ring-buffer time-series store fed by the
 //!   server's self-scraper: per-series history of registry snapshots
-//!   (delta-aware for counters, histogram fan-out into `_bucket` /
+//!   (counters kept as their high-water mark, histogram fan-out into `_bucket` /
 //!   `_count` / `_sum` series) with min/max/avg/last downsampling.
 //! * [`SloEngine`] — declarative [`SloSpec`]s evaluated against the
 //!   tsdb each scrape tick: multi-window burn rates, an

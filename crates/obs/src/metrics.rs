@@ -5,6 +5,7 @@
 //! or allocate on the recording path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default latency bucket upper bounds, in seconds.
@@ -86,7 +87,7 @@ impl Gauge {
 #[derive(Debug)]
 pub struct Histogram {
     /// Ascending upper bounds; the implicit final bucket is `+Inf`.
-    bounds: Vec<f64>,
+    bounds: Arc<[f64]>,
     /// Per-bucket (non-cumulative) counts, `bounds.len() + 1` long.
     buckets: Vec<AtomicU64>,
     /// Sum of all samples, in nanosecond-scale fixed point (1e-9 units),
@@ -116,7 +117,7 @@ impl Histogram {
             "histogram bounds must be strictly ascending"
         );
         Histogram {
-            bounds: bounds.to_vec(),
+            bounds: bounds.into(),
             buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum_nanos: AtomicU64::new(0),
             exemplar_bits: AtomicU64::new(0),
@@ -225,6 +226,11 @@ impl Histogram {
     /// The configured bucket upper bounds.
     pub fn bounds(&self) -> &[f64] {
         &self.bounds
+    }
+
+    /// The bounds as the one allocation every registry snapshot shares.
+    pub(crate) fn shared_bounds(&self) -> Arc<[f64]> {
+        Arc::clone(&self.bounds)
     }
 
     /// Raw (non-cumulative) per-bucket counts in bound order, plus the

@@ -12,7 +12,8 @@
 //! in place, every histogram's counts are read into one reused scratch
 //! `Vec`, and each child's stored keys are zipped with the values
 //! [`for_each_value`] yields, so no key is built and no `le` bound is
-//! formatted per render.
+//! formatted per render. A [`Registry::snapshot`] copies no key either:
+//! it shares each name, label body and histogram's bounds by `Arc`.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
@@ -42,7 +43,7 @@ impl Instrument {
             Instrument::Counter(c) => SampleValue::Counter(c.get()),
             Instrument::Gauge(g) => SampleValue::Gauge(g.get()),
             Instrument::Histogram(h) => SampleValue::Histogram {
-                bounds: h.bounds().to_vec(),
+                bounds: h.shared_bounds(),
                 counts: h.snapshot_counts(),
                 sum: h.sum(),
                 exemplar_trace: h.exemplar().map(|(_, trace_id)| trace_id),
@@ -70,8 +71,8 @@ impl Instrument {
 
 struct Child {
     /// Pre-rendered `key="value",…` label body (no braces), empty when
-    /// the child is unlabelled.
-    labels: String,
+    /// the child is unlabelled; every snapshot shares it.
+    labels: Arc<str>,
     instrument: Instrument,
     /// Every series key the child stands for, in [`for_each_series`]
     /// order: fixed at registration, since a child's name, labels and
@@ -80,8 +81,8 @@ struct Child {
 }
 
 struct Family {
-    /// The exposed name, `<prefix>_<name>`.
-    full_name: String,
+    /// The exposed name, `<prefix>_<name>`; every snapshot shares it.
+    full_name: Arc<str>,
     help: String,
     children: Vec<Child>,
 }
@@ -97,8 +98,8 @@ pub enum SampleValue {
     /// plus overflow last) rather than cumulative; exposition and the
     /// tsdb fan this out into `_bucket`/`_sum`/`_count` series.
     Histogram {
-        /// Configured bucket upper bounds.
-        bounds: Vec<f64>,
+        /// Configured bucket upper bounds, shared with the histogram.
+        bounds: Arc<[f64]>,
         /// Raw per-bucket counts, `bounds.len() + 1` long.
         counts: Vec<u64>,
         /// Sum of all samples.
@@ -138,9 +139,9 @@ pub(crate) enum ValueView<'a> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Full metric name including the registry prefix.
-    pub name: String,
+    pub name: Arc<str>,
     /// Pre-rendered `key="value",…` label body (no braces).
-    pub labels: String,
+    pub labels: Arc<str>,
     /// The instrument's value.
     pub value: SampleValue,
 }
@@ -240,14 +241,14 @@ impl Registry {
         let mut fams = self.families.lock().unwrap_or_else(PoisonError::into_inner);
         let family = fams.entry(name.to_string()).or_insert_with(|| Family {
             full_name: if self.prefix.is_empty() {
-                name.to_string()
+                name.into()
             } else {
-                format!("{}_{name}", self.prefix)
+                format!("{}_{name}", self.prefix).into()
             },
             help: help.to_string(),
             children: Vec::new(),
         });
-        if let Some(child) = family.children.iter().find(|c| c.labels == label_body) {
+        if let Some(child) = family.children.iter().find(|c| *c.labels == label_body) {
             assert!(
                 child.instrument.kind() == instrument.kind(),
                 "metric `{name}` re-registered as {} (was {})",
@@ -271,7 +272,7 @@ impl Registry {
             keys.push(key.to_string());
         });
         family.children.push(Child {
-            labels: label_body,
+            labels: label_body.into(),
             instrument,
             keys,
         });
@@ -329,14 +330,16 @@ impl Registry {
     /// Snapshots every child series directly from the atomic cells — the
     /// self-scraper's ingestion path, with no text-format round-trip.
     /// Families come out in name order, children in registration order.
+    /// Names, labels and bounds are shared, not copied: a snapshot
+    /// allocates its `Vec` and one `counts` per histogram child.
     pub fn snapshot(&self) -> Vec<Sample> {
         let fams = self.families.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(fams.values().map(|f| f.children.len()).sum());
         for family in fams.values() {
             for child in &family.children {
                 out.push(Sample {
-                    name: family.full_name.clone(),
-                    labels: child.labels.clone(),
+                    name: Arc::clone(&family.full_name),
+                    labels: Arc::clone(&child.labels),
                     value: child.instrument.value(),
                 });
             }
@@ -599,7 +602,7 @@ pub(crate) mod tests {
         assert_eq!(
             samples
                 .iter()
-                .map(|s| (s.name.as_str(), s.labels.as_str()))
+                .map(|s| (&*s.name, &*s.labels))
                 .collect::<Vec<_>>(),
             vec![
                 ("loki_eps_p50", ""),
@@ -612,7 +615,7 @@ pub(crate) mod tests {
         assert_eq!(
             samples[1].value,
             SampleValue::Histogram {
-                bounds: vec![0.1, 1.0],
+                bounds: vec![0.1, 1.0].into(),
                 counts: vec![1, 1, 0],
                 sum: 0.55,
                 exemplar_trace: Some(0xab),
@@ -620,6 +623,22 @@ pub(crate) mod tests {
         );
         assert_eq!(samples[2].value, SampleValue::Counter(5));
         assert_eq!(samples[3].value, SampleValue::Counter(2));
+    }
+
+    #[test]
+    fn snapshots_share_their_keys_and_bounds() {
+        let reg = golden_registry();
+        let (first, second) = (reg.snapshot(), reg.snapshot());
+        assert_eq!(first.len(), second.len());
+        for (a, b) in first.iter().zip(&second) {
+            assert!(Arc::ptr_eq(&a.name, &b.name), "{}", a.name);
+            assert!(Arc::ptr_eq(&a.labels, &b.labels), "{}{{{}}}", a.name, a.labels);
+            if let (SampleValue::Histogram { bounds: a, .. }, SampleValue::Histogram { bounds: b, .. }) =
+                (&a.value, &b.value)
+            {
+                assert!(Arc::ptr_eq(a, b));
+            }
+        }
     }
 
     /// A registry touching every exposition shape: unlabelled and

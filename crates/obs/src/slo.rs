@@ -257,7 +257,7 @@ impl Slo {
     }
 
     /// Fills `bad` with the bad ratio of each window `(tick − width, tick]`:
-    /// one tsdb scan per selector covers every window.
+    /// one tsdb call per selector covers every window.
     fn measure(&mut self, tick: u64, tsdb: &Tsdb) {
         match &self.source {
             Source::Ratio { num, total, num_is_good } => {
@@ -442,8 +442,8 @@ mod tests {
 
     fn req(class: &str, v: u64) -> Sample {
         Sample {
-            name: "req_total".to_string(),
-            labels: format!("class=\"{class}\""),
+            name: "req_total".into(),
+            labels: format!("class=\"{class}\"").into(),
             value: SampleValue::Counter(v),
         }
     }
@@ -556,10 +556,10 @@ mod tests {
         };
         let engine = SloEngine::new(vec![spec], 16);
         let hist = |fast: u64, slow: u64| Sample {
-            name: "lat_seconds".to_string(),
-            labels: String::new(),
+            name: "lat_seconds".into(),
+            labels: "".into(),
             value: SampleValue::Histogram {
-                bounds: vec![0.25],
+                bounds: vec![0.25].into(),
                 counts: vec![fast, slow],
                 sum: 0.0,
                 exemplar_trace: Some(0xfeed),
@@ -601,8 +601,8 @@ mod tests {
         };
         let engine = SloEngine::new(vec![spec], 16);
         let level = |v: f64| Sample {
-            name: "near_cap_ratio".to_string(),
-            labels: String::new(),
+            name: "near_cap_ratio".into(),
+            labels: "".into(),
             value: SampleValue::Gauge(v),
         };
         db.ingest(0, &[level(0.01)]);
@@ -725,8 +725,8 @@ mod tests {
             samples_per_series: 16,
             max_series: 64,
         });
-        // Six windows, more than one scan's lanes: shorter than, equal
-        // to and longer than the 16-point ring.
+        // Six windows: shorter than, equal to and longer than the
+        // 16-point ring.
         let rules = vec![
             BurnRule { long_ticks: 8, short_ticks: 2, factor: 1.0 },
             BurnRule { long_ticks: 40, short_ticks: 16, factor: 2.0 },
@@ -772,8 +772,8 @@ mod tests {
         ];
         let engine = SloEngine::new(specs.clone(), 16);
         let gauge = |name: &str, labels: &str, v: f64| Sample {
-            name: name.to_string(),
-            labels: labels.to_string(),
+            name: name.into(),
+            labels: labels.into(),
             value: SampleValue::Gauge(v),
         };
         let (mut fast, mut slow) = (0, 0);
@@ -787,10 +787,10 @@ mod tests {
                     gauge("err", "class=\"2xx\"", 10.3 + x * 0.7),
                     gauge("err", "class=\"5xx\"", (tick % 7) as f64 * 0.37),
                     Sample {
-                        name: "lat_seconds".to_string(),
-                        labels: String::new(),
+                        name: "lat_seconds".into(),
+                        labels: "".into(),
                         value: SampleValue::Histogram {
-                            bounds: vec![0.25],
+                            bounds: vec![0.25].into(),
                             counts: vec![fast, slow],
                             sum: x * 0.11,
                             exemplar_trace: None,

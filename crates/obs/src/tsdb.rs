@@ -20,10 +20,10 @@
 //!   windows and downsampling all speak ticks, so tests can scale time
 //!   by shrinking the scrape interval instead of sleeping wall-clock
 //!   hours.
-//! * **Delta-aware counters.** Counter-kind series store the per-tick
-//!   *increase*, not the raw monotone value, so a window sum is directly
-//!   "events in this window" (what the SLO burn-rate math needs). The
-//!   increase is taken above the highest raw value seen: registry
+//! * **Counters keep their high-water mark.** A counter-kind point
+//!   stores the highest raw value seen up to its tick, and the ring keeps
+//!   the mark before its oldest point (`base`). Readers derive the
+//!   per-tick *increase* as `(mark − previous mark).max(0.0)`: registry
 //!   counters are monotone, so a lower reading is an older snapshot that
 //!   lost the ingest race and adds nothing. The first sample attributes
 //!   the counter's whole standing value to its first tick.
@@ -40,9 +40,10 @@
 //! * **Window sums by seek.** Ingest refuses a tick at or below the
 //!   newest one it has taken (a scrape that lost the race to the lock),
 //!   so ticks ascend along every ring and a window's points are a range
-//!   of it, found by binary search. One scan of the matching series sums
-//!   up to four windows at once, each in ring order, so the SLO engine's
-//!   burn-rate windows cost one pass per series and every sum is exact.
+//!   of it, found by binary search. A counter's window sum, "events in
+//!   this window" (what the SLO burn-rate math needs), is then the mark
+//!   at the window's last point minus the mark before its first: the
+//!   SLO engine's windows cost two searches per series, not a scan.
 //! * **Histogram fan-out.** A histogram sample expands into
 //!   `{family}_bucket{le="…"}` (cumulative per-bound), `{family}_sum`
 //!   and `{family}_count` counter-kind series, keyed exactly as
@@ -60,7 +61,7 @@ use crate::registry::{for_each_series, for_each_value, Sample, SampleValue};
 use std::collections::{BTreeMap, VecDeque};
 use std::mem::{discriminant, Discriminant};
 use std::ops::Bound;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Sizing knobs for a [`Tsdb`]. Memory is bounded by roughly
 /// `max_series × samples_per_series × 16` bytes plus key strings.
@@ -90,19 +91,21 @@ impl Default for TsdbConfig {
 enum SeriesKind {
     /// Store the raw value.
     Gauge,
-    /// Store the per-tick increase above the highest raw value seen.
+    /// Store the high-water mark: the highest raw value seen so far.
     Counter,
 }
 
-/// Windows one scan of a ring sums at once, each in its own accumulator.
-const LANES: usize = 4;
-
-/// One bounded series: a ring of `(tick, value)` points.
+/// One bounded series: a ring of `(tick, value)` points. A gauge's value
+/// is its raw reading; a counter's is its mark after that tick, and its
+/// per-tick increase is `(mark − previous mark).max(0.0)`.
 #[derive(Debug)]
 struct RingSeries {
     kind: SeriesKind,
-    /// Highest raw (pre-delta) value seen, for counter series.
-    prev_raw: f64,
+    /// The mark before the oldest retained point: 0.0 until a point is
+    /// evicted, then the evicted point's value (read for counters only).
+    base: f64,
+    /// The newest mark, for counter series.
+    mark: f64,
     points: VecDeque<(u64, f64)>,
 }
 
@@ -110,7 +113,8 @@ impl RingSeries {
     fn new(kind: SeriesKind, capacity: usize) -> RingSeries {
         RingSeries {
             kind,
-            prev_raw: 0.0,
+            base: 0.0,
+            mark: 0.0,
             points: VecDeque::with_capacity(capacity),
         }
     }
@@ -119,51 +123,44 @@ impl RingSeries {
         let value = match self.kind {
             SeriesKind::Gauge => raw,
             SeriesKind::Counter => {
-                // A reading below the high-water mark is an older snapshot
-                // than one already stored: its events are counted.
-                let delta = (raw - self.prev_raw).max(0.0);
-                self.prev_raw = self.prev_raw.max(raw);
-                delta
+                // A reading below the mark is an older snapshot than one
+                // already stored: its events are counted.
+                self.mark = self.mark.max(raw);
+                self.mark
             }
         };
         if self.points.len() >= capacity {
-            self.points.pop_front();
+            self.base = self.points.pop_front().map_or(self.base, |(_, evicted)| evicted);
         }
         self.points.push_back((tick, value));
     }
 
-    /// Adds to `sums[lane]` the value of each point whose tick lies in
-    /// `(from[lane], to]`, in ring order.
-    fn add_window_sums(
-        &self,
-        mut sums: [f64; LANES],
-        from: &[u64; LANES],
-        to: u64,
-    ) -> [f64; LANES] {
-        let points = &self.points;
-        // Ticks ascend, so a lane's points are `start[lane]..end`, found by
-        // binary search. Between two consecutive starts the lanes a point
-        // counts in do not change: its value is masked into every lane at
-        // once, so that the lanes' additions overlap rather than queue. A
-        // masked-out value adds +0.0, which leaves a sum as it was, since a
-        // sum that starts at +0.0 is never −0.0.
-        let end = points.partition_point(|&(t, _)| t <= to);
-        let start = from.map(|from| points.partition_point(|&(t, _)| t <= from));
-        let mut cuts = start;
-        cuts.sort_unstable();
-        for (i, &cut) in cuts.iter().enumerate() {
-            let next = cuts.get(i + 1).copied().unwrap_or(end);
-            if cut < next {
-                let mask = start.map(|start| if start <= cut { u64::MAX } else { 0 });
-                sums = points.range(cut..next).fold(sums, |mut sums, &(_, value)| {
-                    for (sum, mask) in sums.iter_mut().zip(mask) {
-                        *sum += f64::from_bits(value.to_bits() & mask);
-                    }
-                    sums
-                });
-            }
+    /// The mark before the point at position `i`.
+    fn mark_before(&self, i: usize) -> f64 {
+        i.checked_sub(1).map_or(self.base, |i| self.points[i].1)
+    }
+
+    /// The stored values from position `first` on, oldest first: a
+    /// gauge's readings, or a counter's per-tick increases, each derived
+    /// from the mark before it in the same pass.
+    fn values(&self, first: usize) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let mut prev = self.mark_before(first);
+        self.points.range(first..).map(move |&(tick, value)| match self.kind {
+            SeriesKind::Gauge => (tick, value),
+            SeriesKind::Counter => (tick, (value - std::mem::replace(&mut prev, value)).max(0.0)),
+        })
+    }
+
+    /// `sum` plus the stored values of the points whose tick lies in
+    /// `(from, to]`, where `end` counts the points at or before `to`: a
+    /// gauge's values one by one in ring order, a counter's rise of mark.
+    fn add_window_sum(&self, sum: f64, from: u64, end: usize) -> f64 {
+        let start = self.points.partition_point(|&(t, _)| t <= from);
+        match self.kind {
+            _ if start >= end => sum,
+            SeriesKind::Gauge => self.points.range(start..end).fold(sum, |sum, &(_, value)| sum + value),
+            SeriesKind::Counter => sum + (self.points[end - 1].1 - self.mark_before(start)).max(0.0),
         }
-        sums
     }
 }
 
@@ -197,27 +194,30 @@ pub struct SeriesData {
 /// it fanned out into (`None` where the series cap refused one).
 #[derive(Debug)]
 struct Placed {
-    name: String,
-    labels: String,
+    name: Arc<str>,
+    labels: Arc<str>,
     kind: Discriminant<SampleValue>,
-    /// A histogram's bounds, empty otherwise.
-    bounds: Vec<f64>,
+    /// A histogram's bounds.
+    bounds: Option<Arc<[f64]>>,
     slots: Vec<Option<usize>>,
 }
 
 impl Placed {
     /// Whether `sample` fans out into exactly the series placed here:
     /// same name, labels and value kind, and for a histogram the same
-    /// bounds, bit for bit, and bucket count.
+    /// bounds, bit for bit, and bucket count. Shared keys compare by
+    /// pointer first.
     fn fits(&self, sample: &Sample) -> bool {
-        self.name == sample.name
-            && self.labels == sample.labels
+        let same = |a: &Arc<str>, b: &Arc<str>| Arc::ptr_eq(a, b) || a == b;
+        same(&self.name, &sample.name)
+            && same(&self.labels, &sample.labels)
             && self.kind == discriminant(&sample.value)
-            && match &sample.value {
-                SampleValue::Histogram { bounds, counts, .. } => {
+            && match (&sample.value, &self.bounds) {
+                (SampleValue::Histogram { bounds, counts, .. }, Some(placed)) => {
                     counts.len() + 2 == self.slots.len()
-                        && bounds.len() == self.bounds.len()
-                        && bounds.iter().zip(&self.bounds).all(|(a, b)| a.to_bits() == b.to_bits())
+                        && (Arc::ptr_eq(bounds, placed)
+                            || (bounds.len() == placed.len()
+                                && bounds.iter().zip(placed.iter()).all(|(a, b)| a.to_bits() == b.to_bits())))
                 }
                 _ => true,
             }
@@ -235,7 +235,7 @@ struct TsdbInner {
     /// The previous ingest's samples in order, with their slots.
     layout: Vec<Placed>,
     /// Last exemplar trace id per histogram family.
-    exemplars: BTreeMap<String, u64>,
+    exemplars: BTreeMap<Arc<str>, u64>,
     dropped: u64,
 }
 
@@ -336,25 +336,21 @@ impl Tsdb {
                 slots.push(inner.place(&self.config, key, kind, tick, raw));
             });
             layout.push(Placed {
-                name: sample.name.clone(),
-                labels: sample.labels.clone(),
+                name: Arc::clone(&sample.name),
+                labels: Arc::clone(&sample.labels),
                 kind: discriminant(&sample.value),
                 bounds: match &sample.value {
-                    SampleValue::Histogram { bounds, .. } => bounds.clone(),
-                    _ => Vec::new(),
+                    SampleValue::Histogram { bounds, .. } => Some(Arc::clone(bounds)),
+                    _ => None,
                 },
                 slots,
             });
         }
         inner.layout = layout;
         for sample in samples {
+            // A known family keeps its key and drops the clone: no allocation.
             if let SampleValue::Histogram { exemplar_trace: Some(trace), .. } = sample.value {
-                match inner.exemplars.get_mut(&sample.name) {
-                    Some(last) => *last = trace,
-                    None => {
-                        inner.exemplars.insert(sample.name.clone(), trace);
-                    }
-                }
+                inner.exemplars.insert(Arc::clone(&sample.name), trace);
             }
         }
     }
@@ -376,10 +372,11 @@ impl Tsdb {
             let bins = series.points.back().map_or(0, |&(hi, _)| hi.saturating_sub(since) / step + 1);
             let mut points: Vec<PointAgg> =
                 Vec::with_capacity(usize::try_from(bins).map_or(len, |b| b.min(len)));
-            for &(tick, value) in series.points.range(first..) {
-                let bin = since + ((tick - since) / step) * step;
+            for (tick, value) in series.values(first) {
+                // A point joins the open bin while it lies within `step` of
+                // the bin's start; a bin's start is computed when it opens.
                 match points.last_mut() {
-                    Some(p) if p.tick == bin => {
+                    Some(p) if tick - p.tick < step => {
                         p.min = p.min.min(value);
                         p.max = p.max.max(value);
                         // `avg` accumulates the sum until the bin closes.
@@ -388,7 +385,7 @@ impl Tsdb {
                         p.count += 1;
                     }
                     _ => points.push(PointAgg {
-                        tick: bin,
+                        tick: since + (tick - since) / step * step,
                         min: value,
                         max: value,
                         avg: value,
@@ -409,10 +406,13 @@ impl Tsdb {
         out
     }
 
-    /// Sum of stored values over ticks in `(from, to]`, across every
-    /// matching series. For counter-kind series (which store deltas)
-    /// this is "events in the window" — the SLO engine's burn-rate
-    /// numerators and denominators.
+    /// Sum of stored values over ticks in `(from, to]`, across matching
+    /// series in key order; gauge values are added in ring order. For a
+    /// counter this is "events in the window" (the SLO burn-rate math),
+    /// the rise of its mark: `(mark at the last point − mark before the
+    /// first).max(0.0)`. For integers below 2⁵³ (every registry counter, a
+    /// histogram's `_bucket` and `_count`) that equals adding the per-tick
+    /// increases, bit for bit; a float counter (`_sum`) gets it rounded once.
     pub fn window_sum(&self, name: &str, label_filter: &str, from: u64, to: u64) -> f64 {
         let mut sum = [0.0];
         self.window_sums(name, label_filter, to, &[to.saturating_sub(from)], &mut sum);
@@ -420,11 +420,9 @@ impl Tsdb {
     }
 
     /// Sets `sums[i]` to [`Tsdb::window_sum`] over `(to − widths[i], to]`
-    /// (saturating at tick 0), with one scan of the matching series per
-    /// four windows. Ticks ascend along a ring, so each window's points
-    /// are a range of it found by binary search; they are added series by
-    /// series in key order, and in ring order within a series, so every
-    /// sum is bit-identical to testing the points one by one.
+    /// (saturating at tick 0). Ticks ascend along a ring, so each window's
+    /// points are a range of it found by binary search: a counter's sum
+    /// reads two marks, and no window scans a counter's points.
     pub(crate) fn window_sums(
         &self,
         name: &str,
@@ -434,18 +432,11 @@ impl Tsdb {
         sums: &mut [f64],
     ) {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        for (sums, widths) in sums.chunks_mut(LANES).zip(widths.chunks(LANES)) {
-            // A lane without a window keeps `from = to`: it holds no tick.
-            let mut from = [to; LANES];
-            for (from, width) in from.iter_mut().zip(widths) {
-                *from = to.saturating_sub(*width);
-            }
-            let mut acc = [0.0; LANES];
-            for (_, series) in matching(&inner, name, label_filter) {
-                acc = series.add_window_sums(acc, &from, to);
-            }
-            for (sum, acc) in sums.iter_mut().zip(acc) {
-                *sum = acc;
+        sums.fill(0.0);
+        for (_, series) in matching(&inner, name, label_filter) {
+            let end = series.points.partition_point(|&(t, _)| t <= to);
+            for (sum, width) in sums.iter_mut().zip(widths) {
+                *sum = series.add_window_sum(*sum, to.saturating_sub(*width), end);
             }
         }
     }
@@ -456,7 +447,7 @@ impl Tsdb {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let mut best: Option<(u64, f64)> = None;
         for (_, series) in matching(&inner, name, label_filter) {
-            if let Some(&(tick, value)) = series.points.back() {
+            if let Some((tick, value)) = series.values(series.points.len().saturating_sub(1)).last() {
                 if best.map_or(true, |(t, _)| tick >= t) {
                     best = Some((tick, value));
                 }
@@ -530,11 +521,10 @@ pub(crate) mod tests {
     }
 
     /// Asserts, bit for bit, that `window_sum` and one multi-window
-    /// `window_sums` scan equal the reference for every `to` in `tos`
+    /// `window_sums` call equal the reference for every `to` in `tos`
     /// and every window width, and for windows with `from >= to`.
     fn assert_window_sums_match(db: &Tsdb, name: &str, tos: &[u64]) {
-        // Shorter than, equal to and longer than an 8-point ring; more
-        // widths than one scan's lanes.
+        // Shorter than, equal to and longer than an 8-point ring.
         let widths = [0, 1, 3, 8, 9, 100, u64::MAX];
         for &to in tos {
             let mut sums = [f64::NAN; 7];
@@ -554,16 +544,16 @@ pub(crate) mod tests {
 
     fn counter(name: &str, labels: &str, v: u64) -> Sample {
         Sample {
-            name: name.to_string(),
-            labels: labels.to_string(),
+            name: name.into(),
+            labels: labels.into(),
             value: SampleValue::Counter(v),
         }
     }
 
     fn gauge(name: &str, v: f64) -> Sample {
         Sample {
-            name: name.to_string(),
-            labels: String::new(),
+            name: name.into(),
+            labels: "".into(),
             value: SampleValue::Gauge(v),
         }
     }
@@ -697,10 +687,10 @@ pub(crate) mod tests {
     fn histograms_fan_out_into_bucket_count_sum_series() {
         let db = Tsdb::default();
         let sample = Sample {
-            name: "lat_seconds".to_string(),
-            labels: String::new(),
+            name: "lat_seconds".into(),
+            labels: "".into(),
             value: SampleValue::Histogram {
-                bounds: vec![0.1, 1.0],
+                bounds: vec![0.1, 1.0].into(),
                 counts: vec![2, 1, 1], // non-cumulative, overflow last
                 sum: 3.5,
                 exemplar_trace: Some(0xbeef),
@@ -817,8 +807,8 @@ pub(crate) mod tests {
         let ingest = |t: u64| {
             let samples: Vec<Sample> = (0..3)
                 .map(|k| Sample {
-                    name: "g".to_string(),
-                    labels: format!("k=\"{k}\""),
+                    name: "g".into(),
+                    labels: format!("k=\"{k}\"").into(),
                     value: SampleValue::Gauge(t as f64 * 0.1 - f64::from(k) / 3.0),
                 })
                 .collect();
@@ -835,6 +825,114 @@ pub(crate) mod tests {
             ingest(t);
         }
         assert_window_sums_match(&db, "g", &[0, 22, 23, 26, 30, 40, u64::MAX]);
+    }
+
+    /// A histogram sample over the one bound 1.0.
+    fn histogram(name: &str, counts: [u64; 2], sum: f64) -> Sample {
+        Sample {
+            name: name.into(),
+            labels: "".into(),
+            value: SampleValue::Histogram {
+                bounds: vec![1.0].into(),
+                counts: counts.to_vec(),
+                sum,
+                exemplar_trace: None,
+            },
+        }
+    }
+
+    /// Ingests `samples` at `tick` and appends each series' raw reading
+    /// to `readings`.
+    fn ingest_recorded(db: &Tsdb, readings: &mut BTreeMap<String, Vec<(u64, f64)>>, tick: u64, samples: &[Sample]) {
+        db.ingest(tick, samples);
+        let mut key = String::new();
+        for sample in samples {
+            for_each_series(&mut key, &sample.name, &sample.labels, sample.value.view(), |key, raw| {
+                readings.entry(key.to_string()).or_default().push((tick, raw));
+            });
+        }
+    }
+
+    /// Asserts, bit for bit, that every series lists the last points of
+    /// its per-tick increases above its highest reading so far, restated
+    /// from each tick's raw `readings`.
+    fn assert_increases_match(db: &Tsdb, readings: &BTreeMap<String, Vec<(u64, f64)>>) {
+        for series in db.query("", "", 0, 1) {
+            let mut high = 0.0f64;
+            let want: Vec<(u64, u64)> = readings[&series.key]
+                .iter()
+                .map(|&(tick, raw)| {
+                    let rise = (raw - high).max(0.0);
+                    high = high.max(raw);
+                    (tick, rise.to_bits())
+                })
+                .collect();
+            let got: Vec<(u64, u64)> = series.points.iter().map(|p| (p.tick, p.last.to_bits())).collect();
+            assert_eq!(got, want[want.len() - got.len()..], "{}", series.key);
+        }
+    }
+
+    #[test]
+    fn counter_window_sums_equal_a_point_by_point_reference() {
+        let db = Tsdb::new(TsdbConfig {
+            samples_per_series: 8,
+            max_series: 16,
+        });
+        let mut readings = BTreeMap::new();
+        let mut ingest = |t: u64| {
+            // Ticks 13 and 27 read an older snapshot: every value is lower.
+            let n = if t % 14 == 13 { t - 4 } else { t };
+            let mut samples: Vec<Sample> =
+                (0..3).map(|k| counter("c_total", &format!("k=\"{k}\""), n * n * (k + 1) + k)).collect();
+            samples.push(histogram("h", [n * 3, n * n], n as f64 * 0.25));
+            ingest_recorded(&db, &mut readings, t, &samples);
+        };
+        // Before wraparound: ticks 10..=14, with the lower reading at 13.
+        for t in 10..15 {
+            ingest(t);
+        }
+        for name in ["c_total", "h_bucket", "h_count"] {
+            assert_window_sums_match(&db, name, &[0, 9, 10, 12, 13, 14, 20, u64::MAX]);
+        }
+        // After wraparound: ticks 23..=30, with the lower reading at 27.
+        for t in 15..31 {
+            ingest(t);
+        }
+        for name in ["c_total", "h_bucket", "h_count"] {
+            assert_window_sums_match(&db, name, &[0, 22, 23, 26, 27, 28, 30, 40, u64::MAX]);
+        }
+        assert_increases_match(&db, &readings);
+    }
+
+    #[test]
+    fn a_float_counter_sums_the_rise_of_its_mark() {
+        let db = Tsdb::new(TsdbConfig {
+            samples_per_series: 8,
+            max_series: 8,
+        });
+        // A histogram's `_sum`: fractional, once lower (an older snapshot),
+        // then infinite, and lower again.
+        let raws = [0.1, 0.2, 0.7, 0.65, 1.3, 2.9, f64::INFINITY, f64::INFINITY, 3.0, 4.5, f64::INFINITY, 5.0];
+        let mut readings = BTreeMap::new();
+        let mut marks = Vec::new();
+        for (t, &raw) in (0u64..).zip(&raws) {
+            ingest_recorded(&db, &mut readings, t, &[histogram("h", [t, 0], raw)]);
+            marks.push(marks.last().map_or(raw, |&mark: &f64| mark.max(raw)));
+        }
+        // 12 ticks through an 8-point ring keep ticks 4..=11. The listed
+        // increases are the per-tick deltas, bit for bit: ∞ at tick 6,
+        // then 0.0.
+        assert_increases_match(&db, &readings);
+        let increases: Vec<f64> = db.query("h_sum", "", 6, 1)[0].points.iter().map(|p| p.last).collect();
+        assert_eq!(increases[..2], [f64::INFINITY, 0.0]);
+        // A window sum is the rise of the mark across it, from the mark of
+        // the evicted tick 3 on, rounded once.
+        let mark = |t: u64| marks[t as usize];
+        for (from, to) in [(3, 4), (3, 5), (4, 5), (3, 6), (5, 11), (6, 11), (7, 9), (9, 11)] {
+            let want = (mark(to) - mark(from)).max(0.0);
+            let got = db.window_sum("h_sum", "", from, to);
+            assert_eq!(got.to_bits(), want.to_bits(), "({from}, {to}]: {got} vs {want}");
+        }
     }
 
     #[test]
@@ -871,7 +969,8 @@ pub(crate) mod tests {
 
     /// What ingest must leave behind, restated over rendered series: the
     /// keys admitted under the cap, the refusals so far, and the value
-    /// each series stores (a counter's delta since its last ingest).
+    /// `query` lists for each series (a counter's increase since its last
+    /// ingest).
     struct Expected {
         cap: usize,
         admitted: BTreeSet<String>,
@@ -948,7 +1047,7 @@ pub(crate) mod tests {
             step(&mut expected, &reg.snapshot());
             // A sample missing from one snapshot, back in the next.
             let mut partial = reg.snapshot();
-            partial.retain(|s| s.labels != "route=\"a\"");
+            partial.retain(|s| &*s.labels != "route=\"a\"");
             step(&mut expected, &partial);
             step(&mut expected, &reg.snapshot());
             step(&mut expected, &reg.snapshot());

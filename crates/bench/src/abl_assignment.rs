@@ -18,7 +18,6 @@ use loki_core::assignment::{Assigner, Candidate};
 use loki_core::ledger::{AllocationStrategy, BudgetBalancer};
 use loki_core::privacy_level::PrivacyLevel;
 use loki_dp::accountant::{Accountant, ReleaseKind};
-use loki_dp::params::Delta;
 use loki_dp::utility;
 use loki_rng::ChaCha20Rng;
 use std::fmt::Write as _;
@@ -44,10 +43,9 @@ fn release(level: PrivacyLevel) -> ReleaseKind {
 }
 
 fn max_eps(acc: &Accountant, users: &[String]) -> f64 {
-    let delta = Delta::new(loki_dp::DEFAULT_DELTA);
     users
         .iter()
-        .map(|u| acc.loss_of(u, delta).epsilon.value())
+        .map(|u| acc.loss_of(u).epsilon.value())
         .fold(0.0, f64::max)
 }
 
@@ -80,7 +78,6 @@ pub fn report(seed: u64) -> String {
         ));
 
         let us = users();
-        let delta = Delta::new(loki_dp::DEFAULT_DELTA);
         let mut table = Table::new(&["policy", "max eps", "mean eps", "achieved se (worst)"]);
 
         // 1. Status quo: random subset at the self-selected mix.
@@ -89,7 +86,7 @@ pub fn report(seed: u64) -> String {
             let mut rng = ChaCha20Rng::seed_from_u64(seed);
             let needed = status_quo_needed();
             let mut worst_se = 0.0f64;
-            for round in 0..SURVEYS {
+            for _ in 0..SURVEYS {
                 let mut pool: Vec<&String> = us.iter().collect();
                 rng.shuffle(&mut pool);
                 let mut precision = 0.0;
@@ -101,14 +98,14 @@ pub fn report(seed: u64) -> String {
                         x if x < 101 => PrivacyLevel::Medium,
                         _ => PrivacyLevel::High,
                     };
-                    acc.record(user, format!("s{round}"), release(level));
+                    acc.record(user, release(level));
                     precision += 1.0 / (POP_STD * POP_STD + level.sigma() * level.sigma());
                 }
                 worst_se = worst_se.max((1.0 / precision).sqrt());
             }
             let mean = us
                 .iter()
-                .map(|u| acc.loss_of(u, delta).epsilon.value())
+                .map(|u| acc.loss_of(u).epsilon.value())
                 .filter(|e| e.is_finite())
                 .sum::<f64>()
                 / us.len() as f64;
@@ -133,10 +130,10 @@ pub fn report(seed: u64) -> String {
             let needed =
                 utility::required_sample_size(POP_STD, PrivacyLevel::Medium.sigma(), TARGET_SE);
             let mut worst_se = 0.0f64;
-            for round in 0..SURVEYS {
+            for _ in 0..SURVEYS {
                 let picked = balancer.select(&mut rng, &acc, &us, needed.min(us.len()));
                 for user in &picked {
-                    acc.record(user, format!("s{round}"), release(PrivacyLevel::Medium));
+                    acc.record(user, release(PrivacyLevel::Medium));
                 }
                 worst_se = worst_se.max(utility::mean_standard_error(
                     POP_STD,
@@ -146,7 +143,7 @@ pub fn report(seed: u64) -> String {
             }
             let mean = us
                 .iter()
-                .map(|u| acc.loss_of(u, delta).epsilon.value())
+                .map(|u| acc.loss_of(u).epsilon.value())
                 .sum::<f64>()
                 / us.len() as f64;
             table.row(&[
@@ -162,25 +159,25 @@ pub fn report(seed: u64) -> String {
             let acc = Accountant::new();
             let mut worst_se = 0.0f64;
             let assigner = Assigner::new(POP_STD, 4.0);
-            for round in 0..SURVEYS {
+            for _ in 0..SURVEYS {
                 let candidates: Vec<Candidate> = us
                     .iter()
                     .map(|u| Candidate {
                         id: u.clone(),
-                        current_epsilon: acc.loss_of(u, delta).epsilon.value(),
+                        current_epsilon: acc.loss_of(u).epsilon.value(),
                     })
                     .collect();
                 let plan = assigner
                     .plan(&candidates, TARGET_SE)
                     .expect("pool large enough");
                 for a in &plan.assignments {
-                    acc.record(&a.id, format!("s{round}"), release(a.level));
+                    acc.record(&a.id, release(a.level));
                 }
                 worst_se = worst_se.max(plan.predicted_se);
             }
             let mean = us
                 .iter()
-                .map(|u| acc.loss_of(u, delta).epsilon.value())
+                .map(|u| acc.loss_of(u).epsilon.value())
                 .sum::<f64>()
                 / us.len() as f64;
             table.row(&[

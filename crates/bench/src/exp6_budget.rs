@@ -12,7 +12,6 @@
 use crate::{banner, f, n, render, Table};
 use loki_core::ledger::{AllocationStrategy, BudgetBalancer};
 use loki_dp::accountant::{Accountant, ReleaseKind, UserLedger};
-use loki_dp::params::Delta;
 use loki_rng::ChaCha20Rng;
 use std::fmt::Write as _;
 
@@ -34,10 +33,10 @@ fn run(strategy: AllocationStrategy, seed: u64) -> (Accountant, Vec<f64>) {
     let balancer = BudgetBalancer::new(strategy);
     let mut rng = ChaCha20Rng::seed_from_u64(seed);
     let mut max_by_round = Vec::with_capacity(SURVEYS);
-    for round in 0..SURVEYS {
+    for _ in 0..SURVEYS {
         let picked = balancer.select(&mut rng, &accountant, &users, PER_SURVEY);
         for user in picked {
-            accountant.record(&user, format!("s{round}"), release());
+            accountant.record(&user, release());
         }
         max_by_round.push(balancer.loss_summary(&accountant, &users).max);
     }
@@ -95,12 +94,11 @@ pub fn report(seed: u64) -> String {
         // Accounting ablation: tight (RDP) vs basic composition for a user
         // who answered every survey.
         let mut heavy = UserLedger::new();
-        for i in 0..SURVEYS {
-            heavy.record(format!("s{i}"), release());
+        for _ in 0..SURVEYS {
+            heavy.record(release());
         }
-        let delta = Delta::new(loki_dp::DEFAULT_DELTA);
         let basic = heavy.basic_loss().epsilon.value();
-        let tight = heavy.tight_loss(delta).epsilon.value();
+        let tight = heavy.tight_loss().epsilon.value();
         writeln!(
             out,
             "\naccounting ablation ({} releases, sigma=1, delta=1e-5):\n\

@@ -14,8 +14,8 @@
 
 use loki_core::obfuscate::{ObfuscationError, Obfuscator};
 use loki_core::privacy_level::PrivacyLevel;
-use loki_dp::accountant::{Accountant, ReleaseKind};
-use loki_dp::params::{Delta, PrivacyLoss};
+use loki_dp::accountant::{ReleaseKind, UserLedger};
+use loki_dp::params::PrivacyLoss;
 use loki_net::client::{ClientError, HttpClient};
 use loki_rng::ChaCha20Rng;
 use loki_survey::question::Answer;
@@ -99,7 +99,7 @@ pub struct UploadPreview {
 pub struct LokiClient {
     http: HttpClient,
     user: String,
-    local_ledger: Accountant,
+    local_ledger: UserLedger,
 }
 
 impl LokiClient {
@@ -108,7 +108,7 @@ impl LokiClient {
         Ok(LokiClient {
             http: HttpClient::new(base_url)?,
             user: user.into(),
-            local_ledger: Accountant::new(),
+            local_ledger: UserLedger::new(),
         })
     }
 
@@ -187,8 +187,8 @@ impl LokiClient {
 
         // Mirror into the local ledger before upload: the user's view of
         // their loss must not depend on the server acknowledging.
-        for (tag, kind) in &releases {
-            self.local_ledger.record(&self.user, tag.clone(), *kind);
+        for (_, kind) in &releases {
+            self.local_ledger.record(*kind);
         }
 
         let body = serde_json::json!({
@@ -219,8 +219,7 @@ impl LokiClient {
 
     /// The locally-tracked cumulative loss (no server round-trip).
     pub fn local_loss(&self) -> PrivacyLoss {
-        self.local_ledger
-            .loss_of(&self.user, Delta::new(loki_dp::DEFAULT_DELTA))
+        self.local_ledger.tight_loss()
     }
 
     fn assemble(&self, survey: &Survey, answers: &BTreeMap<QuestionId, Answer>) -> Response {

@@ -15,7 +15,6 @@
 #![warn(clippy::float_cmp)]
 
 use loki_dp::accountant::{quantile_sorted, Accountant};
-use loki_dp::params::Delta;
 use loki_rng::ChaCha20Rng;
 
 /// How respondents are selected for a new survey.
@@ -31,16 +30,12 @@ pub enum AllocationStrategy {
 #[derive(Debug)]
 pub struct BudgetBalancer {
     strategy: AllocationStrategy,
-    delta: Delta,
 }
 
 impl BudgetBalancer {
     /// Creates a balancer.
     pub fn new(strategy: AllocationStrategy) -> BudgetBalancer {
-        BudgetBalancer {
-            strategy,
-            delta: Delta::new(loki_dp::DEFAULT_DELTA),
-        }
+        BudgetBalancer { strategy }
     }
 
     /// The strategy in use.
@@ -77,7 +72,7 @@ impl BudgetBalancer {
             AllocationStrategy::LeastLoss => {
                 let mut ranked: Vec<(&String, f64)> = users
                     .iter()
-                    .map(|u| (u, accountant.loss_of(u, self.delta).epsilon.value()))
+                    .map(|u| (u, accountant.loss_of(u).epsilon.value()))
                     .collect();
                 ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(b.0)));
                 ranked.into_iter().take(n).map(|(u, _)| u.clone()).collect()
@@ -91,7 +86,7 @@ impl BudgetBalancer {
     pub fn loss_summary(&self, accountant: &Accountant, users: &[String]) -> LossSummary {
         let mut losses: Vec<f64> = users
             .iter()
-            .map(|u| accountant.loss_of(u, self.delta).epsilon.value())
+            .map(|u| accountant.loss_of(u).epsilon.value())
             .collect();
         losses.sort_by(f64::total_cmp);
         let n = losses.len();
@@ -148,7 +143,7 @@ mod tests {
         let us = users(10);
         // Burden the first five users.
         for u in &us[..5] {
-            acc.record(u, "s1/q1", gaussian());
+            acc.record(u, gaussian());
         }
         let b = BudgetBalancer::new(AllocationStrategy::LeastLoss);
         let mut rng = ChaCha20Rng::seed_from_u64(1);
@@ -191,10 +186,10 @@ mod tests {
             let us = users(40);
             let b = BudgetBalancer::new(strategy);
             let mut rng = ChaCha20Rng::seed_from_u64(7);
-            for round in 0..20 {
+            for _ in 0..20 {
                 let picked = b.select(&mut rng, &acc, &us, 10);
                 for u in picked {
-                    acc.record(&u, format!("s{round}"), gaussian());
+                    acc.record(&u, gaussian());
                 }
             }
             b.loss_summary(&acc, &us).max
@@ -213,7 +208,7 @@ mod tests {
         let us = users(20);
         for (i, u) in us.iter().enumerate() {
             for _ in 0..i {
-                acc.record(u, "t", gaussian());
+                acc.record(u, gaussian());
             }
         }
         let b = BudgetBalancer::new(AllocationStrategy::LeastLoss);

@@ -3,15 +3,19 @@
 //! The paper (§3.1): "the cumulative privacy loss can be tracked and
 //! balanced across the user base". This module is that tracker:
 //!
-//! * [`UserLedger`] — append-only record of every obfuscated release one
-//!   user has made, with both a conservative basic-composition total and a
-//!   tight RDP total;
+//! * [`UserLedger`] — one user's release count, the totals their loss is
+//!   composed from (a conservative basic-composition total and a tight
+//!   RDP total), and that loss, stated at [`crate::DEFAULT_DELTA`] and
+//!   set once per release;
 //! * [`Accountant`] — thread-safe map of ledgers for the whole platform.
 //!   Each user's loss lives in their ledger alone: [`Accountant::record`]
-//!   only appends to it, and [`Accountant::epsilon_summary`] derives the
+//!   only folds into it, and [`Accountant::epsilon_summary`] derives the
 //!   platform-wide distribution — and the count of users at or above a
 //!   threshold, which the server's near-cap gauge reads — from one walk
-//!   over every ledger.
+//!   over every ledger's stored loss.
+//!
+//! The ledger keeps no per-release history: which survey a release
+//! belonged to is the caller's record (the server's journal has it).
 
 use crate::params::{Delta, Epsilon, PrivacyLoss};
 use crate::rdp::RdpAccountant;
@@ -20,16 +24,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{PoisonError, RwLock};
-
-/// One recorded release in a user's ledger.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LedgerEntry {
-    /// Free-form tag identifying the survey/question the release belonged
-    /// to (e.g. `"survey-3/q2"`).
-    pub tag: String,
-    /// How the release was obfuscated.
-    pub kind: ReleaseKind,
-}
 
 /// The mechanism class of a recorded release — enough information to
 /// account for it tightly.
@@ -90,11 +84,14 @@ impl ReleaseKind {
     }
 }
 
-/// Append-only privacy ledger for a single user.
+/// Privacy ledger for a single user: the release count, the totals the
+/// loss is composed from, and the tight loss itself, kept current by
+/// [`UserLedger::record`] so that reading it converts nothing.
 #[derive(Debug, Clone)]
 pub struct UserLedger {
-    entries: Vec<LedgerEntry>,
+    releases: usize,
     totals: Totals,
+    loss: PrivacyLoss,
 }
 
 impl Default for UserLedger {
@@ -107,12 +104,13 @@ impl UserLedger {
     /// Creates an empty ledger.
     pub fn new() -> UserLedger {
         UserLedger {
-            entries: Vec::new(),
+            releases: 0,
             totals: Totals::new(),
+            loss: PrivacyLoss::ZERO,
         }
     }
 
-    /// Records one release.
+    /// Records one release and restates the tight loss.
     ///
     /// # Panics
     /// Panics if [`ReleaseKind::check`] rejects `kind`; callers fed from
@@ -121,27 +119,20 @@ impl UserLedger {
     /// For Gaussian entries, the basic total uses the analytic per-release
     /// ε at [`crate::DEFAULT_DELTA`]; the RDP accountant tracks the exact
     /// divergence for tight composition.
-    pub fn record(&mut self, tag: impl Into<String>, kind: ReleaseKind) {
+    pub fn record(&mut self, kind: ReleaseKind) {
         self.totals.add(kind);
-        self.entries.push(LedgerEntry {
-            tag: tag.into(),
-            kind,
-        });
+        self.releases = self.releases.saturating_add(1);
+        self.loss = self.totals.tight_loss();
     }
 
     /// Number of recorded releases.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.releases
     }
 
     /// Whether the ledger is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The recorded entries, oldest first.
-    pub fn entries(&self) -> &[LedgerEntry] {
-        &self.entries
+        self.releases == 0
     }
 
     /// Conservative cumulative loss by basic composition.
@@ -149,17 +140,17 @@ impl UserLedger {
         self.totals.basic
     }
 
-    /// Tight cumulative loss via the RDP accountant, stated at `delta`.
-    /// For an empty ledger this is exactly zero (no conversion overhead).
-    pub fn tight_loss(&self, delta: Delta) -> PrivacyLoss {
-        self.totals.tight_loss(self.is_empty(), delta)
+    /// Tight cumulative loss via the RDP accountant, stated at
+    /// [`crate::DEFAULT_DELTA`]. For an empty ledger this is exactly zero
+    /// (no conversion overhead).
+    pub fn tight_loss(&self) -> PrivacyLoss {
+        self.loss
     }
 }
 
-/// What a ledger's loss is computed from, apart from whether it holds any
-/// release: the RDP accountant and the basic-composition total. A copy is
-/// a `[f64; 20]`, a flag and one loss, so [`Accountant::loss_after`]
-/// probes a would-be charge on a copy instead of cloning the entries.
+/// What a ledger's loss is computed from: the RDP accountant and the
+/// basic-composition total. A copy is a `[f64; 20]`, a flag and one loss,
+/// so [`Accountant::loss_after`] probes a would-be charge on a copy.
 #[derive(Debug, Clone)]
 struct Totals {
     rdp: RdpAccountant,
@@ -205,12 +196,10 @@ impl Totals {
         }
     }
 
-    /// Tight cumulative loss, stated at `delta`: exactly zero when
-    /// nothing is recorded (no conversion overhead).
-    fn tight_loss(&self, empty: bool, delta: Delta) -> PrivacyLoss {
-        if empty {
-            return PrivacyLoss::ZERO;
-        }
+    /// Tight cumulative loss of at least one folded-in release, stated at
+    /// [`crate::DEFAULT_DELTA`].
+    fn tight_loss(&self) -> PrivacyLoss {
+        let delta = Delta::new(crate::DEFAULT_DELTA);
         let rdp = self.rdp.to_dp(delta);
         // The tight bound is never worse than basic composition; report the
         // minimum of the two (both are valid bounds at their own δ; we
@@ -273,50 +262,55 @@ impl Accountant {
     }
 
     /// Records a release for a user, creating the ledger on first use.
-    pub fn record(&self, user: &str, tag: impl Into<String>, kind: ReleaseKind) {
+    pub fn record(&self, user: &str, kind: ReleaseKind) {
         self.shard_for(user)
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .entry(user.to_owned())
             .or_default()
-            .record(tag, kind);
+            .record(kind);
     }
 
-    /// The tight cumulative loss of one user (zero if unknown).
-    pub fn loss_of(&self, user: &str, delta: Delta) -> PrivacyLoss {
+    /// The tight cumulative loss of one user (zero if unknown), as stored
+    /// by their ledger.
+    pub fn loss_of(&self, user: &str) -> PrivacyLoss {
         self.shard_for(user)
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(user)
-            .map(|l| l.tight_loss(delta))
-            .unwrap_or(PrivacyLoss::ZERO)
+            .map_or(PrivacyLoss::ZERO, UserLedger::tight_loss)
     }
 
     /// The tight loss `user` would have after also recording `releases`,
     /// without recording them: the same number, bit for bit, as recording
-    /// them on a clone of the ledger and reading
-    /// [`UserLedger::tight_loss`]. Only the ledger's totals and emptiness
-    /// are copied under the read lock, not its entries.
+    /// them on a copy of the ledger and reading
+    /// [`UserLedger::tight_loss`]. Only the ledger's totals are copied
+    /// under the read lock, and the loss is converted once, not once per
+    /// release.
     pub fn loss_after(
         &self,
         user: &str,
         releases: impl IntoIterator<Item = ReleaseKind>,
-        delta: Delta,
     ) -> PrivacyLoss {
-        let (mut totals, mut empty) = self
+        let (mut totals, stored) = self
             .shard_for(user)
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(user)
             .map_or_else(
-                || (Totals::new(), true),
-                |l| (l.totals.clone(), l.is_empty()),
+                || (Totals::new(), PrivacyLoss::ZERO),
+                |l| (l.totals.clone(), l.loss),
             );
+        let mut added = false;
         for kind in releases {
             totals.add(kind);
-            empty = false;
+            added = true;
         }
-        totals.tight_loss(empty, delta)
+        if added {
+            totals.tight_loss()
+        } else {
+            stored
+        }
     }
 
     /// Number of releases recorded for one user.
@@ -326,15 +320,6 @@ impl Accountant {
             .unwrap_or_else(PoisonError::into_inner)
             .get(user)
             .map_or(0, UserLedger::len)
-    }
-
-    /// Snapshot of one user's ledger.
-    pub fn ledger_of(&self, user: &str) -> Option<UserLedger> {
-        self.shard_for(user)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(user)
-            .cloned()
     }
 
     /// Number of users with a ledger.
@@ -369,7 +354,8 @@ impl Accountant {
     /// ledgers; `max` is `+∞` whenever any user's total is unbounded.
     /// The same walk counts the users whose total is at or above
     /// `threshold`, unbounded users included (`+∞` counts exactly them).
-    pub fn epsilon_summary(&self, delta: Delta, threshold: f64) -> EpsilonSummary {
+    /// Each ledger's loss is read as stored: the walk converts nothing.
+    pub fn epsilon_summary(&self, threshold: f64) -> EpsilonSummary {
         let mut users = 0usize;
         let mut finite: Vec<f64> = Vec::new();
         let mut unbounded = 0usize;
@@ -378,7 +364,7 @@ impl Accountant {
             let ledgers = shard.read().unwrap_or_else(PoisonError::into_inner);
             users = users.saturating_add(ledgers.len());
             for ledger in ledgers.values() {
-                let total = ledger.tight_loss(delta).epsilon.value();
+                let total = ledger.loss.epsilon.value();
                 if total >= threshold {
                     at_or_above = at_or_above.saturating_add(1);
                 }
@@ -463,18 +449,18 @@ mod tests {
         let l = UserLedger::new();
         assert!(l.is_empty());
         assert_eq!(l.basic_loss(), PrivacyLoss::ZERO);
-        assert_eq!(l.tight_loss(Delta::new(1e-5)), PrivacyLoss::ZERO);
+        assert_eq!(l.tight_loss(), PrivacyLoss::ZERO);
     }
 
     #[test]
     fn record_accumulates() {
         let mut l = UserLedger::new();
-        l.record("s1/q1", gaussian_entry());
-        l.record("s1/q2", gaussian_entry());
+        l.record(gaussian_entry());
+        l.record(gaussian_entry());
         assert_eq!(l.len(), 2);
         let one = {
             let mut l1 = UserLedger::new();
-            l1.record("x", gaussian_entry());
+            l1.record(gaussian_entry());
             l1.basic_loss().epsilon.value()
         };
         assert!((l.basic_loss().epsilon.value() - 2.0 * one).abs() < 1e-9);
@@ -483,11 +469,11 @@ mod tests {
     #[test]
     fn tight_never_exceeds_basic_epsilon() {
         let mut l = UserLedger::new();
-        for i in 0..50 {
-            l.record(format!("s/q{i}"), gaussian_entry());
+        for _ in 0..50 {
+            l.record(gaussian_entry());
         }
         let basic = l.basic_loss().epsilon.value();
-        let tight = l.tight_loss(Delta::new(1e-5)).epsilon.value();
+        let tight = l.tight_loss().epsilon.value();
         assert!(tight <= basic, "tight {tight} > basic {basic}");
         // And for 50 releases it should be a lot tighter.
         assert!(tight < basic * 0.7, "tight {tight} vs basic {basic}");
@@ -496,15 +482,15 @@ mod tests {
     #[test]
     fn raw_release_is_unbounded() {
         let mut l = UserLedger::new();
-        l.record("s/q", ReleaseKind::Raw);
+        l.record(ReleaseKind::Raw);
         assert!(!l.basic_loss().is_finite());
-        assert!(!l.tight_loss(Delta::new(1e-5)).is_finite());
+        assert!(!l.tight_loss().is_finite());
     }
 
     #[test]
     fn pure_entries_tracked() {
         let mut l = UserLedger::new();
-        l.record("s/q", ReleaseKind::Pure { epsilon: 0.5 });
+        l.record(ReleaseKind::Pure { epsilon: 0.5 });
         assert!((l.basic_loss().epsilon.value() - 0.5).abs() < 1e-12);
         assert_eq!(l.basic_loss().delta, Delta::ZERO);
     }
@@ -524,20 +510,21 @@ mod tests {
             vec![pure(0.25), ReleaseKind::Raw, gauss(1.0, 2.0)],
             vec![gauss(16.0, 4.0); 5],
         ];
-        let delta = Delta::new(crate::DEFAULT_DELTA);
         for (h, history) in sets.iter().enumerate() {
             // An empty history leaves the user without a ledger.
             let acc = Accountant::new();
+            let mut ledger = UserLedger::new();
             for kind in history {
-                acc.record("u", "s/q", *kind);
+                acc.record("u", *kind);
+                ledger.record(*kind);
             }
             for (r, releases) in sets.iter().enumerate() {
-                let mut scratch = acc.ledger_of("u").unwrap_or_default();
+                let mut scratch = ledger.clone();
                 for kind in releases {
-                    scratch.record("s/q", *kind);
+                    scratch.record(*kind);
                 }
-                let want = scratch.tight_loss(delta);
-                let got = acc.loss_after("u", releases.iter().copied(), delta);
+                let want = scratch.tight_loss();
+                let got = acc.loss_after("u", releases.iter().copied());
                 assert_eq!(
                     got.epsilon.value().to_bits(),
                     want.epsilon.value().to_bits(),
@@ -557,40 +544,119 @@ mod tests {
         }
     }
 
+    /// The stored loss, over a fixed-seed mix of Gaussian (σ ∈ {0.5, 1,
+    /// 2}), pure and raw releases, equals bit for bit both a fresh
+    /// conversion of the ledger's totals and the conversion every read
+    /// used to make: fold each release into an RDP accountant and a basic
+    /// total, then state the tighter of the two at the default δ.
+    #[test]
+    fn stored_loss_equals_fold_then_convert() {
+        let delta = Delta::new(crate::DEFAULT_DELTA);
+        let mut rng = loki_rng::ChaCha20Rng::seed_from_u64(34);
+        let mut raw_sequences = 0;
+        for sequence in 0..8 {
+            let mut ledger = UserLedger::new();
+            let mut rdp = RdpAccountant::new();
+            let mut basic = PrivacyLoss::ZERO;
+            for step in 0..40 {
+                let kind = match rng.gen_range_u32(0..40) {
+                    0 => ReleaseKind::Raw,
+                    1..=24 => ReleaseKind::Gaussian {
+                        sigma: [0.5, 1.0, 2.0][rng.gen_range_usize(..3)],
+                        sensitivity: 4.0,
+                    },
+                    _ => ReleaseKind::Pure {
+                        epsilon: rng.gen_range_f64(0.0..1.0),
+                    },
+                };
+                ledger.record(kind);
+                let per = match kind {
+                    ReleaseKind::Gaussian { sigma, sensitivity } => {
+                        let sens = Sensitivity::new(sensitivity);
+                        rdp.add_gaussian(sens, sigma);
+                        let mech = crate::mechanisms::gaussian::GaussianMechanism::from_sigma(
+                            sigma, sens, delta,
+                        );
+                        PrivacyLoss {
+                            epsilon: mech.epsilon(),
+                            delta,
+                        }
+                    }
+                    ReleaseKind::Pure { epsilon } => {
+                        rdp.add_pure(Epsilon::new(epsilon));
+                        PrivacyLoss {
+                            epsilon: Epsilon::new(epsilon),
+                            delta: Delta::ZERO,
+                        }
+                    }
+                    ReleaseKind::Raw => {
+                        rdp.add_unbounded();
+                        PrivacyLoss::unbounded()
+                    }
+                };
+                basic = basic.compose(per);
+                let converted = rdp.to_dp(delta);
+                let reference = if basic.epsilon.value() < converted.epsilon.value() {
+                    PrivacyLoss {
+                        epsilon: basic.epsilon,
+                        delta: basic.delta.saturating_add(delta),
+                    }
+                } else {
+                    converted
+                };
+                let stored = ledger.tight_loss();
+                for (what, want) in [
+                    ("fresh conversion", ledger.totals.tight_loss()),
+                    ("fold then convert", reference),
+                ] {
+                    assert_eq!(
+                        (
+                            stored.epsilon.value().to_bits(),
+                            stored.delta.value().to_bits()
+                        ),
+                        (want.epsilon.value().to_bits(), want.delta.value().to_bits()),
+                        "{what}, sequence {sequence} step {step}: {stored:?} vs {want:?}"
+                    );
+                }
+            }
+            if !ledger.tight_loss().is_finite() {
+                raw_sequences += 1;
+            }
+        }
+        assert!(
+            (1..8).contains(&raw_sequences),
+            "the mix must leave some sequences finite and turn others unbounded"
+        );
+    }
+
     #[test]
     fn accountant_tracks_users_independently() {
         let acc = Accountant::new();
-        acc.record("alice", "s1/q1", gaussian_entry());
-        acc.record("alice", "s1/q2", gaussian_entry());
-        acc.record("bob", "s1/q1", gaussian_entry());
+        acc.record("alice", gaussian_entry());
+        acc.record("alice", gaussian_entry());
+        acc.record("bob", gaussian_entry());
         assert_eq!(acc.user_count(), 2);
         assert_eq!(acc.releases_of("alice"), 2);
         assert_eq!(acc.releases_of("bob"), 1);
         assert_eq!(acc.releases_of("carol"), 0);
-        let d = Delta::new(1e-5);
-        assert!(acc.loss_of("alice", d).epsilon.value() > acc.loss_of("bob", d).epsilon.value());
-        assert_eq!(acc.loss_of("carol", d), PrivacyLoss::ZERO);
+        assert!(acc.loss_of("alice").epsilon.value() > acc.loss_of("bob").epsilon.value());
+        assert_eq!(acc.loss_of("carol"), PrivacyLoss::ZERO);
     }
 
     #[test]
     fn epsilon_summary_statistics() {
         let acc = Accountant::new();
-        let empty = acc.epsilon_summary(Delta::new(1e-5), f64::INFINITY);
+        let empty = acc.epsilon_summary(f64::INFINITY);
         assert_eq!(empty.users, 0);
         assert_eq!(empty.max.to_bits(), 0.0f64.to_bits());
 
         // Ten users with 1..=10 pure releases of ε=0.1 each.
         for (i, n) in (1..=10).enumerate() {
-            for r in 0..n {
-                acc.record(
-                    &format!("u{i}"),
-                    format!("t{r}"),
-                    ReleaseKind::Pure { epsilon: 0.1 },
-                );
+            for _ in 0..n {
+                acc.record(&format!("u{i}"), ReleaseKind::Pure { epsilon: 0.1 });
             }
         }
-        let d = Delta::new(1e-5);
-        let s = acc.epsilon_summary(d, 0.75);
+        let s = acc.epsilon_summary(0.75);
         assert_eq!(s.users, 10);
         assert_eq!(s.unbounded, 0);
         assert!((s.mean - 0.55).abs() < 1e-9, "mean = {}", s.mean);
@@ -601,8 +667,8 @@ mod tests {
         assert_eq!(s.at_or_above, 3, "ε 0.8, 0.9 and 1.0 reach 0.75");
 
         // One raw release flips max to +inf but leaves quantiles finite.
-        acc.record("leaker", "t", ReleaseKind::Raw);
-        let s = acc.epsilon_summary(d, 0.75);
+        acc.record("leaker", ReleaseKind::Raw);
+        let s = acc.epsilon_summary(0.75);
         assert_eq!(s.users, 11);
         assert_eq!(s.unbounded, 1);
         assert_eq!(s.at_or_above, 4);
@@ -649,7 +715,7 @@ mod tests {
         for kind in bad {
             let err = kind.check().expect_err("must be refused");
             assert!(err.to_string().starts_with("invalid release: "), "{err}");
-            let recorded = std::panic::catch_unwind(|| UserLedger::new().record("t", kind));
+            let recorded = std::panic::catch_unwind(|| UserLedger::new().record(kind));
             assert!(recorded.is_err(), "{kind:?} is refused but records fine");
         }
         // The ledger would take an infinite ε, but an unbounded release
@@ -676,8 +742,7 @@ mod tests {
         let mut ledger = UserLedger::new();
         for kind in kinds {
             assert_eq!(kind.check(), Ok(()), "{kind:?}");
-            ledger.record("t", kind);
-            let _ = ledger.tight_loss(Delta::new(1e-5));
+            ledger.record(kind);
         }
     }
 
@@ -699,7 +764,7 @@ mod tests {
     fn count_users_by_walks_every_shard() {
         let acc = Accountant::new();
         for i in 0..40 {
-            acc.record(&format!("u{i}"), "t", gaussian_entry());
+            acc.record(&format!("u{i}"), gaussian_entry());
         }
         // Bucket by the same internal router: totals must agree with
         // user_count and out-of-range buckets must be dropped, not panic.
@@ -718,18 +783,16 @@ mod tests {
     /// The oracle for `epsilon_summary`'s count: each ledgered user's own
     /// tight ε compared with the threshold, one user at a time.
     fn brute_force_at_or_above(acc: &Accountant, users: &[String], threshold: f64) -> usize {
-        let d = Delta::new(1e-5);
         users
             .iter()
-            .filter_map(|u| acc.ledger_of(u))
-            .filter(|l| l.tight_loss(d).epsilon.value() >= threshold)
+            .filter(|u| acc.releases_of(u) > 0)
+            .filter(|u| acc.loss_of(u).epsilon.value() >= threshold)
             .count()
     }
 
     #[test]
     fn epsilon_summary_counts_at_or_above_like_brute_force() {
         let acc = Accountant::new();
-        let d = Delta::new(1e-5);
         let users: Vec<String> = (0..40).map(|i| format!("u{i}")).collect();
         let mut rng = loki_rng::ChaCha20Rng::seed_from_u64(29);
         for _ in 0..300 {
@@ -744,14 +807,14 @@ mod tests {
                     epsilon: rng.gen_range_f64(0.0..1.0),
                 },
             };
-            acc.record(user, "t", kind);
+            acc.record(user, kind);
         }
         // Thresholds just below, exactly at and just above every finite
         // user ε, plus 0 and +∞ (which count the unbounded users alone).
         let mut thresholds = vec![0.0, f64::INFINITY];
         let mut unbounded = 0;
-        for ledger in users.iter().filter_map(|u| acc.ledger_of(u)) {
-            let eps = ledger.tight_loss(d).epsilon.value();
+        for user in users.iter().filter(|u| acc.releases_of(u) > 0) {
+            let eps = acc.loss_of(user).epsilon.value();
             if eps.is_finite() {
                 let bits = eps.to_bits();
                 thresholds.extend([f64::from_bits(bits - 1), eps, f64::from_bits(bits + 1)]);
@@ -761,29 +824,28 @@ mod tests {
         }
         assert!(unbounded > 0, "the mix must include a raw release");
         for threshold in thresholds {
-            let summary = acc.epsilon_summary(d, threshold);
+            let summary = acc.epsilon_summary(threshold);
             assert_eq!(
                 summary.at_or_above,
                 brute_force_at_or_above(&acc, &users, threshold),
                 "threshold {threshold}"
             );
         }
-        assert_eq!(acc.epsilon_summary(d, f64::INFINITY).at_or_above, unbounded);
-        assert_eq!(acc.epsilon_summary(d, 0.0).at_or_above, acc.user_count());
+        assert_eq!(acc.epsilon_summary(f64::INFINITY).at_or_above, unbounded);
+        assert_eq!(acc.epsilon_summary(0.0).at_or_above, acc.user_count());
     }
 
     #[test]
     fn a_user_who_turns_unbounded_is_counted_once() {
         let acc = Accountant::new();
-        let d = Delta::new(1e-5);
-        acc.record("w", "t", ReleaseKind::Pure { epsilon: 0.1 });
-        assert_eq!(acc.epsilon_summary(d, 10.0).at_or_above, 0);
-        acc.record("w", "t", ReleaseKind::Raw);
+        acc.record("w", ReleaseKind::Pure { epsilon: 0.1 });
+        assert_eq!(acc.epsilon_summary(10.0).at_or_above, 0);
+        acc.record("w", ReleaseKind::Raw);
         // Further releases of either kind leave one unbounded user.
-        acc.record("w", "t", ReleaseKind::Raw);
-        acc.record("w", "t", ReleaseKind::Pure { epsilon: 0.1 });
+        acc.record("w", ReleaseKind::Raw);
+        acc.record("w", ReleaseKind::Pure { epsilon: 0.1 });
         for threshold in [0.0, 10.0, f64::INFINITY] {
-            let summary = acc.epsilon_summary(d, threshold);
+            let summary = acc.epsilon_summary(threshold);
             assert_eq!(
                 (summary.users, summary.unbounded, summary.at_or_above),
                 (1, 1, 1),

@@ -12,9 +12,10 @@
 //!   randomized response and the exponential mechanism ([`mechanisms`]).
 //! * **Composition** — basic composition through [`params::PrivacyLoss`]
 //!   plus a Rényi-DP accountant for tight Gaussian composition ([`rdp`]).
-//! * **Accounting** — a per-user privacy ledger recording every obfuscated
-//!   response, supporting the paper's goal that "cumulative privacy loss can
-//!   be tracked and balanced across the user base" ([`accountant`]).
+//! * **Accounting** — a per-user privacy ledger that composes every
+//!   obfuscated response into one stored loss at [`DEFAULT_DELTA`],
+//!   supporting the paper's goal that "cumulative privacy loss can be
+//!   tracked and balanced across the user base" ([`accountant`]).
 //! * **Utility analysis** — predicted estimator error as a function of noise
 //!   scale and sample size, used to validate the accuracy/privacy trade-off
 //!   of Fig. 2 ([`utility`]).
@@ -28,7 +29,9 @@
 //! # Example
 //!
 //! Calibrate the Gaussian mechanism for a 1–5 rating, release a noisy
-//! answer, and account for it:
+//! answer, and account for it. The ledger states its tight loss at
+//! [`DEFAULT_DELTA`] when it records the release, so reading it converts
+//! nothing:
 //!
 //! ```
 //! use loki_dp::mechanisms::gaussian::GaussianMechanism;
@@ -47,8 +50,10 @@
 //! assert!(noisy.is_finite());
 //!
 //! let mut ledger = UserLedger::new();
-//! ledger.record("survey-1/q0", ReleaseKind::Gaussian { sigma: 1.0, sensitivity: 4.0 });
-//! assert!(ledger.basic_loss().is_finite());
+//! ledger.record(ReleaseKind::Gaussian { sigma: 1.0, sensitivity: 4.0 });
+//! let tight = ledger.tight_loss();
+//! assert!(tight.is_finite());
+//! assert!(tight.epsilon.value() <= ledger.basic_loss().epsilon.value());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +68,7 @@ pub mod sensitivity;
 pub mod special;
 pub mod utility;
 
-pub use accountant::{Accountant, LedgerEntry, UserLedger};
+pub use accountant::{Accountant, UserLedger};
 pub use mechanisms::gaussian::GaussianMechanism;
 pub use mechanisms::laplace::LaplaceMechanism;
 pub use mechanisms::randomized_response::RandomizedResponse;

@@ -384,7 +384,7 @@ fn accept_burst(
             Ok((stream, _)) => {
                 stats.record_accept(shard);
                 if slab.len() >= config.backlog.max(1) {
-                    shed(stream, router, config);
+                    shed(stream, router);
                     stats.record_shed(shard);
                     continue;
                 }
@@ -409,14 +409,11 @@ fn accept_burst(
     }
 }
 
-/// Sheds a connection at capacity: observer, best-effort
-/// `503 Retry-After: 1` through the router's error renderer, close. A
-/// silent RST would leave clients guessing; the envelope tells them to
-/// back off briefly and retry.
-fn shed(mut stream: TcpStream, router: &Router, config: &ServerConfig) {
-    if let Some(observer) = &config.shed_observer {
-        observer();
-    }
+/// Sheds a connection at capacity: best-effort `503 Retry-After: 1`
+/// through the router's error renderer, close. A silent RST would leave
+/// clients guessing; the envelope tells them to back off briefly and
+/// retry. The caller counts the shed in [`NetStats`].
+fn shed(mut stream: TcpStream, router: &Router) {
     let mut response = router.render_error(
         StatusCode::SERVICE_UNAVAILABLE,
         "shed",

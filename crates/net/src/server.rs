@@ -48,12 +48,6 @@ pub struct RequestTiming {
 pub type RequestObserver =
     Arc<dyn Fn(&crate::http::Request, &Response, &RequestTiming) + Send + Sync>;
 
-/// Observer invoked each time a shard sheds a connection because it is
-/// at its open-connection cap. Runs on the reactor thread; keep it
-/// cheap. Without one installed, saturation is invisible — the whole
-/// point of wiring this up is that shed connections leave a trace.
-pub type ShedObserver = Arc<dyn Fn() + Send + Sync>;
-
 /// Server tuning.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -67,12 +61,10 @@ pub struct ServerConfig {
     /// Parser limits.
     pub parser: ParserConfig,
     /// Maximum open connections per reactor shard; arrivals beyond the
-    /// cap are shed with a best-effort 503.
+    /// cap are shed with a best-effort 503 and counted in [`NetStats`].
     pub backlog: usize,
     /// Optional per-request observer (access log / metrics hook).
     pub observer: Option<RequestObserver>,
-    /// Optional observer for shed connections.
-    pub shed_observer: Option<ShedObserver>,
 }
 
 impl std::fmt::Debug for ServerConfig {
@@ -83,7 +75,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("parser", &self.parser)
             .field("backlog", &self.backlog)
             .field("observer", &self.observer.is_some())
-            .field("shed_observer", &self.shed_observer.is_some())
             .finish()
     }
 }
@@ -96,7 +87,6 @@ impl Default for ServerConfig {
             parser: ParserConfig::default(),
             backlog: 256,
             observer: None,
-            shed_observer: None,
         }
     }
 }
@@ -669,9 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn sheds_are_observed_when_the_worker_queue_is_full() {
-        use std::sync::atomic::AtomicUsize;
-        let sheds = Arc::new(AtomicUsize::new(0));
+    fn sheds_are_counted_when_a_shard_is_at_its_cap() {
         // An application-style JSON renderer, to pin the envelope shape
         // a shed client actually receives.
         let mut router = demo_router();
@@ -685,12 +673,6 @@ mod tests {
             workers: 1,
             backlog: 1,
             read_timeout: Duration::from_millis(500),
-            shed_observer: Some({
-                let sheds = Arc::clone(&sheds);
-                Arc::new(move || {
-                    sheds.fetch_add(1, Ordering::SeqCst);
-                })
-            }),
             ..ServerConfig::default()
         };
         let h = Server::spawn("127.0.0.1:0", router, config).unwrap();
@@ -715,11 +697,10 @@ mod tests {
             }
         }
         assert!(
-            sheds.load(Ordering::SeqCst) >= 1,
-            "saturation left no trace: 0 sheds observed"
+            h.stats().shed_total() >= 1,
+            "saturation left no trace: 0 sheds counted"
         );
         assert!(envelopes >= 1, "no shed client saw the 503 envelope");
-        assert!(h.stats().shed_total() >= 1, "stats missed the sheds");
         drop(stall);
         h.shutdown();
     }

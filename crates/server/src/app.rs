@@ -12,7 +12,6 @@ use crate::error::{error_envelope_traced, json_response, parse_body, path_param,
 use crate::metrics::ServerMetrics;
 use crate::store::{AppState, ReadMiss};
 use loki_core::estimator::Estimator;
-use loki_dp::params::Delta;
 use loki_net::http::{Method, Request, Response, StatusCode, TRACE_ID_HEADER};
 use loki_net::router::{Params, Router};
 use loki_net::server::{Server, ServerConfig, ServerHandle};
@@ -388,12 +387,11 @@ pub fn build_router(state: Arc<AppState>) -> Router {
             // The counts are O(shards): survey map lengths and per-shard
             // apply counters, with no walk of the survey or submission
             // maps. The ε figures are O(users): `epsilon_summary` walks
-            // every ledger and converts its RDP loss on each request.
+            // every ledger and reads the loss it stored when it last
+            // recorded a release, converting nothing.
             let surveys = s.survey_count();
             let submissions = s.submission_total();
-            let summary = s
-                .accountant
-                .epsilon_summary(Delta::new(loki_dp::DEFAULT_DELTA), f64::INFINITY);
+            let summary = s.accountant.epsilon_summary(f64::INFINITY);
             Ok(json_response(
                 StatusCode::OK,
                 &serde_json::json!({
@@ -936,7 +934,8 @@ fn slo_status_json(st: &loki_obs::SloStatus) -> serde_json::Value {
 }
 
 /// Binds the API server on `addr` over fresh or shared state, with the
-/// request observer and shed counter feeding the state's metrics.
+/// request observer and the reactor's live counters (sheds included)
+/// feeding the state's metrics.
 ///
 /// Also starts the history layer's self-scraper at a 1 s interval unless
 /// one is already running — a test (or embedder) that wants a faster
@@ -952,7 +951,6 @@ pub fn serve(addr: &str, state: Arc<AppState>) -> std::io::Result<ServerHandle> 
     loki_obs::prof::start_sampler();
     let config = ServerConfig {
         observer: Some(metrics.observer()),
-        shed_observer: Some(metrics.shed_observer()),
         ..ServerConfig::default()
     };
     let handle = Server::spawn(addr, build_router(state), config)?;

@@ -26,6 +26,8 @@
 //! | `GET /v1/slo` | current SLO statuses + burn rates |
 //! | `GET /v1/alerts` | alert states (any firing ⇒ healthz `degraded`) |
 //! | `GET /v1/alerts/history` | bounded ring of alert transitions |
+//! | `GET /v1/profile` | wall-clock phase profile per thread; `?format=collapsed` for flamegraph tools |
+//! | `GET /v1/procstats` | process RSS, open fds, threads, CPU ticks and allocator totals |
 //! | `GET /v1/admin/shards` | per-shard occupancy, WAL lane health, `?survey_id=` routing preview |
 //!
 //! Every route is registered once, under `/v1`; an unversioned path

@@ -14,9 +14,8 @@
 
 use loki_core::privacy_level::PrivacyLevel;
 use loki_dp::accountant::Accountant;
-use loki_dp::params::Delta;
 use loki_net::http::Method;
-use loki_net::server::{NetStats, RequestObserver, RequestTiming, ShedObserver};
+use loki_net::server::{NetStats, RequestObserver, RequestTiming};
 use loki_obs::{
     AccessLog, AuditLog, BurnRule, Counter, Gauge, Histogram, Registry, SloEngine, SloKind,
     SloSpec, TraceConfig, Tracer, Tsdb, TsdbConfig, LATENCY_BUCKETS,
@@ -230,7 +229,7 @@ pub struct ServerMetrics {
     wal_batch_size: Arc<Histogram>,
     wal_group_commit_seconds: Arc<Histogram>,
     wal_errors: Arc<Counter>,
-    conns_shed: Arc<Counter>,
+    conns_shed: DeltaCounter,
     store_lock_seconds: Arc<Histogram>,
     /// Per-shard children of the lock family, in [`SHARD_LABELS`] order
     /// (shard indices past the pool clamp to the last child).
@@ -421,11 +420,11 @@ impl ServerMetrics {
                 "Writes refused because the journal could not make them durable",
                 &[],
             ),
-            conns_shed: registry.counter(
+            conns_shed: DeltaCounter::new(registry.counter(
                 "http_conns_shed_total",
-                "Connections dropped by the accept loop because the worker queue was full",
+                "Connections shed with a 503 by a reactor shard at its open-connection cap (the same count as loki_net_conns_shed_total)",
                 &[],
-            ),
+            )),
             store_lock_seconds: registry.histogram(
                 "store_lock_seconds",
                 "Submission-store write-lock hold time",
@@ -730,18 +729,6 @@ impl ServerMetrics {
         }
     }
 
-    /// Counts one shed connection.
-    pub fn on_conn_shed(&self) {
-        self.conns_shed.inc();
-    }
-
-    /// A [`ShedObserver`] recording into this instance; install it via
-    /// [`loki_net::server::ServerConfig::shed_observer`].
-    pub fn shed_observer(self: &Arc<Self>) -> ShedObserver {
-        let metrics = Arc::clone(self);
-        Arc::new(move || metrics.on_conn_shed())
-    }
-
     /// Records a full submission round-trip, exemplar-tagged with the
     /// request's trace id when the request was traced (`0` = untraced).
     pub fn observe_submit(&self, elapsed: Duration, trace_id: u64) {
@@ -751,14 +738,14 @@ impl ServerMetrics {
 
     /// Refreshes the ledger ε gauges from the accountant (called on
     /// scrape, not on every submission). One summary walk over every
-    /// ledger feeds them all, the near-cap headroom ratio included: the
-    /// users at or above 80% of `cap`, the server's cumulative-ε budget,
-    /// over all ledgered users. Without a cap, or with no ledgers, the
-    /// ratio is 0.
+    /// ledger's stored loss feeds them all, the near-cap headroom ratio
+    /// included: the users at or above 80% of `cap`, the server's
+    /// cumulative-ε budget, over all ledgered users. Without a cap, or
+    /// with no ledgers, the ratio is 0.
     pub fn refresh_ledger_gauges(&self, accountant: &Accountant, cap: Option<f64>) {
         let cap = cap.filter(|c| *c > 0.0);
         let threshold = cap.map_or(f64::INFINITY, |c| 0.8 * c);
-        let summary = accountant.epsilon_summary(Delta::new(loki_dp::DEFAULT_DELTA), threshold);
+        let summary = accountant.epsilon_summary(threshold);
         let values = [summary.p50, summary.p90, summary.p99, summary.mean, summary.max];
         for (gauge, value) in self.epsilon_gauges.iter().zip(values) {
             gauge.set(value);
@@ -809,7 +796,12 @@ impl ServerMetrics {
         {
             let mut net = self.net.lock().unwrap_or_else(PoisonError::into_inner);
             *net = Some(stats);
-            let totals = [&self.net_wakeups, &self.net_accepted, &self.net_shed];
+            let totals = [
+                &self.net_wakeups,
+                &self.net_accepted,
+                &self.net_shed,
+                &self.conns_shed,
+            ];
             let children =
                 [&self.shard_net_wakeups, &self.shard_net_accepted, &self.shard_net_shed];
             for counter in totals.into_iter().chain(children.into_iter().flatten()) {
@@ -845,14 +837,18 @@ impl ServerMetrics {
         // Each total is its children's sum, so both come from one read.
         let advance = |total: &DeltaCounter, children: &[DeltaCounter], read: PerShard| {
             let per_shard = per_label(read);
-            total.advance(per_shard.iter().sum());
+            let sum = per_shard.iter().sum();
+            total.advance(sum);
             for (child, current) in children.iter().zip(per_shard) {
                 child.advance(current);
             }
+            sum
         };
         advance(&self.net_wakeups, &self.shard_net_wakeups, NetStats::wakeups_for);
         advance(&self.net_accepted, &self.shard_net_accepted, NetStats::accepted_for);
-        advance(&self.net_shed, &self.shard_net_shed, NetStats::shed_for);
+        // `http_conns_shed_total` counts the same sheds from the same read.
+        let shed = advance(&self.net_shed, &self.shard_net_shed, NetStats::shed_for);
+        self.conns_shed.advance(shed);
     }
 
     /// Refreshes the process-resource families: `/proc/self` gauges are
@@ -1066,14 +1062,76 @@ mod tests {
         assert_eq!(route_shape("/admin/shards"), "/admin/shards");
     }
 
+    /// A `backlog: 1` shard with its one slot held sheds every further
+    /// arrival; after a refresh both shed families read the reactor's
+    /// count. Attaching a second server resets both watermarks, so its
+    /// sheds add on from zero.
     #[test]
-    fn shed_observer_counts_into_conns_shed() {
-        let m = Arc::new(ServerMetrics::new());
-        let observer = m.shed_observer();
-        observer();
-        observer();
-        let text = m.render_exposition();
-        assert!(text.contains("loki_http_conns_shed_total 2"), "{text}");
+    fn both_shed_families_read_the_reactors_count() {
+        use loki_net::http::{Response, StatusCode};
+        use loki_net::router::Router;
+        use loki_net::server::{Server, ServerConfig, ServerHandle};
+        use std::io::{Read, Write};
+        use std::time::Instant;
+
+        fn wait_for(what: &str, done: impl Fn() -> bool) {
+            let started = Instant::now();
+            while !done() {
+                assert!(started.elapsed() < Duration::from_secs(5), "{what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        /// Spawns a one-slot shard, holds its slot and makes `sheds`
+        /// arrivals over the cap; returns the server and the held slot.
+        fn shedding_server(sheds: u64) -> (ServerHandle, std::net::TcpStream) {
+            let mut r = Router::new();
+            r.get("/ping", |_, _| Response::text(StatusCode::OK, "pong"));
+            let cfg = ServerConfig {
+                workers: 1,
+                backlog: 1,
+                read_timeout: Duration::from_secs(5),
+                ..ServerConfig::default()
+            };
+            let h = Server::spawn("127.0.0.1:0", r, cfg).unwrap();
+            let mut stall = std::net::TcpStream::connect(h.addr()).unwrap();
+            stall.write_all(b"GET /ping HTTP/1.1\r\n").unwrap();
+            wait_for("the slot never opened", || h.stats().open_conns() == 1);
+            for _ in 0..sheds {
+                let mut s = std::net::TcpStream::connect(h.addr()).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                // The 503 envelope, then close.
+                let _ = s.read_to_end(&mut Vec::new());
+            }
+            wait_for("the sheds were not counted", || {
+                h.stats().shed_total() == sheds
+            });
+            (h, stall)
+        }
+        let rendered = |m: &ServerMetrics, family: &str| -> u64 {
+            let prefix = format!("{family} ");
+            m.render_exposition()
+                .lines()
+                .find_map(|l| l.strip_prefix(prefix.as_str()))
+                .and_then(|v| v.parse().ok())
+                .unwrap()
+        };
+
+        let m = ServerMetrics::new();
+        let (h, stall) = shedding_server(3);
+        m.attach_net_stats(h.stats());
+        m.refresh_net_gauges();
+        assert_eq!(rendered(&m, "loki_net_conns_shed_total"), 3);
+        assert_eq!(rendered(&m, "loki_http_conns_shed_total"), 3);
+        drop(stall);
+        h.shutdown();
+
+        let (h, stall) = shedding_server(1);
+        m.attach_net_stats(h.stats());
+        m.refresh_net_gauges();
+        assert_eq!(rendered(&m, "loki_net_conns_shed_total"), 4);
+        assert_eq!(rendered(&m, "loki_http_conns_shed_total"), 4);
+        drop(stall);
+        h.shutdown();
     }
 
     #[test]
@@ -1082,13 +1140,12 @@ mod tests {
         let acc = Accountant::new();
         acc.record(
             "a",
-            "t",
             ReleaseKind::Gaussian {
                 sigma: 2.0,
                 sensitivity: 4.0,
             },
         );
-        acc.record("b", "t", ReleaseKind::Raw);
+        acc.record("b", ReleaseKind::Raw);
         m.refresh_ledger_gauges(&acc, None);
         let text = m.render_exposition();
         assert!(text.contains("loki_ledger_users 2"), "{text}");
@@ -1109,13 +1166,12 @@ mod tests {
         // One user far below the cap, one unbounded (counts as near).
         acc.record(
             "a",
-            "t",
             ReleaseKind::Gaussian {
                 sigma: 100.0,
                 sensitivity: 1.0,
             },
         );
-        acc.record("b", "t", ReleaseKind::Raw);
+        acc.record("b", ReleaseKind::Raw);
         m.refresh_ledger_gauges(&acc, Some(50.0));
         let text = m.render_exposition();
         assert!(text.contains("loki_ledger_near_cap_ratio 0.5"), "{text}");
@@ -1127,16 +1183,15 @@ mod tests {
         let acc = Accountant::new();
         let users = ["a", "b", "c", "d"];
         for (user, epsilon) in users.iter().zip([0.1, 1.0, 2.0]) {
-            acc.record(user, "t", ReleaseKind::Pure { epsilon });
+            acc.record(user, ReleaseKind::Pure { epsilon });
         }
-        acc.record("d", "t", ReleaseKind::Raw);
+        acc.record("d", ReleaseKind::Raw);
         // The brute-force ratio: each user's own loss against 80% of the
         // cap. At 0.125 the threshold is exactly user a's ε of 0.1.
-        let delta = Delta::new(loki_dp::DEFAULT_DELTA);
         let brute_force = |cap: f64| {
             let near = users
                 .iter()
-                .filter(|u| acc.loss_of(u, delta).epsilon.value() >= 0.8 * cap)
+                .filter(|u| acc.loss_of(u).epsilon.value() >= 0.8 * cap)
                 .count();
             near as f64 / users.len() as f64
         };

@@ -44,7 +44,6 @@
 use loki_core::estimator::BinStats;
 use loki_core::privacy_level::PrivacyLevel;
 use loki_dp::accountant::{Accountant, InvalidRelease, ReleaseKind};
-use loki_dp::params::Delta;
 use loki_survey::question::{Answer, QuestionKind};
 use loki_survey::response::Response;
 use loki_survey::survey::{Survey, SurveyId};
@@ -980,61 +979,46 @@ impl AppState {
             return Err(SubmitError::Duplicate);
         }
 
-        // ε-audit bookkeeping (metrics enabled only): the running total
-        // before the charge, and the marginal ε this release set would
-        // add — probed on a copy of the ledger's totals so the attempted
-        // and rejected-at-cap events can report it without charging.
+        // The user's stored loss is one read under the ledger's shard
+        // lock. ε-audit bookkeeping (metrics enabled only) reports it as
+        // the running total before the charge, with the marginal ε this
+        // release set would add — probed on a copy of the ledger's totals
+        // so the attempted and rejected-at-cap events can report it
+        // without charging.
         let budget = self.epsilon_budget();
         let trace_ctx = loki_obs::trace::current();
         let trace_id = trace_ctx.as_ref().map(|c| c.trace_id());
-        let loss = (budget.is_some() || self.metrics.get().is_some())
-            .then(|| self.user_loss(user));
-        let audit = match (self.metrics.get(), &loss) {
-            (Some(m), Some(before)) => {
-                let after = self.accountant.loss_after(
-                    user,
-                    releases.iter().map(|(_, kind)| *kind),
-                    Delta::new(loki_dp::DEFAULT_DELTA),
-                );
-                let running_before = if before.is_finite() {
-                    before.epsilon.value()
-                } else {
-                    f64::INFINITY
-                };
-                let running_after = if after.is_finite() {
-                    after.epsilon.value()
-                } else {
-                    f64::INFINITY
-                };
-                let charge = if running_before.is_finite() && running_after.is_finite() {
-                    (running_after - running_before).max(0.0)
-                } else {
-                    f64::INFINITY
-                };
-                let index = self.subject_index(user);
-                m.audit_log().push(
-                    index,
-                    loki_obs::AuditOutcome::Attempted,
-                    level_name(level),
-                    charge,
-                    running_before,
-                    trace_id,
-                );
-                Some((Arc::clone(m), index, charge, running_after))
-            }
-            _ => None,
-        };
+        let loss = self.user_loss(user);
+        let current = loss.is_finite().then(|| loss.epsilon.value());
+        let audit = self.metrics.get().map(|m| {
+            let after = self
+                .accountant
+                .loss_after(user, releases.iter().map(|(_, kind)| *kind));
+            let running_before = current.unwrap_or(f64::INFINITY);
+            let running_after = if after.is_finite() {
+                after.epsilon.value()
+            } else {
+                f64::INFINITY
+            };
+            let charge = if running_before.is_finite() && running_after.is_finite() {
+                (running_after - running_before).max(0.0)
+            } else {
+                f64::INFINITY
+            };
+            let index = self.subject_index(user);
+            m.audit_log().push(
+                index,
+                loki_obs::AuditOutcome::Attempted,
+                level_name(level),
+                charge,
+                running_before,
+                trace_id,
+            );
+            (Arc::clone(m), index, charge, running_after)
+        });
 
         if let Some(budget) = budget {
-            // `loss` is always `Some` when a budget is configured.
-            let over = match &loss {
-                Some(l) if l.is_finite() => l.epsilon.value() >= budget,
-                _ => true,
-            };
-            if over {
-                let current = loss
-                    .as_ref()
-                    .and_then(|l| l.is_finite().then(|| l.epsilon.value()));
+            if current.map_or(true, |eps| eps >= budget) {
                 if let Some((m, index, charge, _)) = &audit {
                     m.audit_log().push(
                         *index,
@@ -1082,8 +1066,8 @@ impl AppState {
             let entry = surveys
                 .entry(survey_id)
                 .or_insert_with(|| SurveyEntry::new(Arc::clone(&survey)));
-            for (tag, kind) in releases {
-                self.accountant.record(user, tag.clone(), *kind);
+            for (_, kind) in releases {
+                self.accountant.record(user, *kind);
             }
             entry.users.insert(user.to_string());
             // Fold the streaming statistics inside the same critical
@@ -1199,10 +1183,10 @@ impl AppState {
         self.observatory.summary()
     }
 
-    /// Cumulative loss of a user at the default δ.
+    /// Cumulative loss of a user at the default δ, as their ledger
+    /// stores it.
     pub fn user_loss(&self, user: &str) -> loki_dp::params::PrivacyLoss {
-        self.accountant
-            .loss_of(user, Delta::new(loki_dp::DEFAULT_DELTA))
+        self.accountant.loss_of(user)
     }
 }
 
@@ -1516,7 +1500,7 @@ mod tests {
         s.set_epsilon_budget(Some(100.0)).unwrap();
         // A raw release makes the user's loss unbounded.
         s.accountant
-            .record("u1", "earlier", loki_dp::accountant::ReleaseKind::Raw);
+            .record("u1", loki_dp::accountant::ReleaseKind::Raw);
         let err = s
             .submit("u1", PrivacyLevel::None, obfuscated_response("u1", 4.0), &[])
             .unwrap_err();
@@ -1531,7 +1515,7 @@ mod tests {
         let s = AppState::new();
         s.add_survey(survey()).unwrap();
         s.set_epsilon_budget(Some(f64::INFINITY)).unwrap();
-        s.accountant.record("u1", "earlier", ReleaseKind::Raw);
+        s.accountant.record("u1", ReleaseKind::Raw);
         let err = s
             .submit("u1", PrivacyLevel::None, obfuscated_response("u1", 4.0), &[])
             .unwrap_err();
@@ -1565,12 +1549,12 @@ mod tests {
         // releases, then pin the cap strictly between them: the user sits
         // at cap − ε₁, one more release fits, two do not.
         let probe = AppState::new();
-        probe.accountant.record("p", "a", gaussian_release("a").1);
+        probe.accountant.record("p", gaussian_release("a").1);
         let one = probe.user_loss("p").epsilon.value();
-        probe.accountant.record("p", "b", gaussian_release("b").1);
+        probe.accountant.record("p", gaussian_release("b").1);
         let two = probe.user_loss("p").epsilon.value();
         assert!(two > one);
-        s.accountant.record("u1", "warmup", gaussian_release("warmup").1);
+        s.accountant.record("u1", gaussian_release("warmup").1);
         s.set_epsilon_budget(Some((one + two) / 2.0)).unwrap();
 
         let ok = Arc::new(AtomicUsize::new(0));

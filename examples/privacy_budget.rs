@@ -10,7 +10,6 @@
 use loki::core::ledger::{AllocationStrategy, BudgetBalancer};
 use loki::core::privacy_level::PrivacyLevel;
 use loki::dp::accountant::{Accountant, ReleaseKind, UserLedger};
-use loki::dp::params::Delta;
 use loki::rng::ChaCha20Rng;
 
 fn main() {
@@ -28,9 +27,9 @@ fn main() {
         let accountant = Accountant::new();
         let balancer = BudgetBalancer::new(strategy);
         let mut rng = ChaCha20Rng::seed_from_u64(7);
-        for round in 0..25 {
+        for _ in 0..25 {
             for user in balancer.select(&mut rng, &accountant, &users, 50) {
-                accountant.record(&user, format!("survey-{round}"), release);
+                accountant.record(&user, release);
             }
         }
         let s = balancer.loss_summary(&accountant, &users);
@@ -42,18 +41,17 @@ fn main() {
 
     println!("\nwhat one heavy user's app shows (40 medium-privacy answers):");
     let mut ledger = UserLedger::new();
-    for i in 0..40 {
-        ledger.record(format!("survey-{}/q0", i), release);
+    for _ in 0..40 {
+        ledger.record(release);
     }
-    let delta = Delta::new(loki::dp::DEFAULT_DELTA);
     println!(
         "  naive (basic composition): ε = {:.1}",
         ledger.basic_loss().epsilon.value()
     );
     println!(
         "  Loki ledger (RDP-tight):   ε = {:.1}  at δ = {:.0e}",
-        ledger.tight_loss(delta).epsilon.value(),
-        delta.value()
+        ledger.tight_loss().epsilon.value(),
+        loki::dp::DEFAULT_DELTA
     );
 
     println!("\nper-answer cost of each privacy level (1-5 rating, δ = 1e-5):");

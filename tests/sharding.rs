@@ -14,7 +14,7 @@
 //!    `with_shards(1)` pins the refactor to the old semantics.
 
 use loki::core::privacy_level::PrivacyLevel;
-use loki::dp::accountant::{LedgerEntry, ReleaseKind};
+use loki::dp::accountant::ReleaseKind;
 use loki::server::store::StoredSubmission;
 use loki::server::wal::{replay_lanes, GroupCommitConfig};
 use loki::server::AppState;
@@ -61,14 +61,14 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 
 /// The canonical merged view of a store, independent of its shard
 /// count: every survey in id order, each survey's submissions in arrival
-/// order, then the exact ledger of each submitting user in first-seen
-/// order. Compare two views through `{:?}`, which prints every `f64` so
+/// order, then each submitting user's release count and stored ε bits in
+/// first-seen order. Compare two views through `{:?}`, which prints every `f64` so
 /// that it round-trips (and `-0.0` as itself), so equal text means
 /// bit-equal state.
 type MergedView = (
     Vec<Arc<Survey>>,
     Vec<Vec<StoredSubmission>>,
-    Vec<(String, Option<Vec<LedgerEntry>>)>,
+    Vec<(String, usize, u64)>,
 );
 
 fn merged_view(state: &AppState) -> MergedView {
@@ -90,8 +90,9 @@ fn merged_view(state: &AppState) -> MergedView {
     let ledgers = users
         .into_iter()
         .map(|user| {
-            let entries = state.accountant.ledger_of(&user).map(|l| l.entries().to_vec());
-            (user, entries)
+            let releases = state.accountant.releases_of(&user);
+            let epsilon = state.user_loss(&user).epsilon.value().to_bits();
+            (user, releases, epsilon)
         })
         .collect();
     (surveys, submissions, ledgers)
